@@ -61,15 +61,22 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_partition_dp(adj: np.ndarray) -> tuple[np.ndarray, float]:
+def exact_partition_dp(
+    adj: np.ndarray, two_m: float | None = None
+) -> tuple[np.ndarray, float]:
     """Globally optimal modularity partition by subset dynamic programming.
 
-    O(3^n); intended for n <= ~14. Returns (labels, Q).
+    O(3^n) time and several arrays of 2^n floats; intended for n <= ~14.
+    ``two_m`` is the total degree that Q is normalised by. It defaults to
+    ``adj``'s own; pass the whole network's when ``adj`` is one of its
+    connected components, so that the component's Q terms add up to the
+    whole network's Q. Returns (labels, Q).
     """
     adj = np.asarray(adj)
     n = adj.shape[0]
     deg = adj.sum(axis=1).astype(np.float64)
-    two_m = float(deg.sum())
+    if two_m is None:
+        two_m = float(deg.sum())
     if two_m == 0.0:
         return np.arange(n, dtype=np.int64), 0.0
     full = 1 << n

@@ -75,13 +75,17 @@ def dyad_pvalues(cell_probs, cooc):
     return out
 
 
-def exact_partition_dp(adj):
-    """Globally optimal modularity partition by O(3^n) subset DP."""
+def exact_partition_dp(adj, two_m=None):
+    """Globally optimal modularity partition by O(3^n) subset DP.
+
+    ``two_m`` as in the NumPy fallback: the total degree Q is normalised
+    by, defaulting to ``adj``'s own.
+    """
     cdef cnp.ndarray[cnp.int64_t, ndim=2] A = np.ascontiguousarray(adj, dtype=np.int64)
     cdef Py_ssize_t n = A.shape[0]
     cdef cnp.ndarray[cnp.float64_t, ndim=1] deg = A.sum(axis=1).astype(np.float64)
-    cdef double two_m = deg.sum()
-    if two_m == 0.0:
+    cdef double tm = deg.sum() if two_m is None else two_m
+    if tm == 0.0:
         return np.arange(n, dtype=np.int64), 0.0
     cdef Py_ssize_t full = 1 << n
     cdef cnp.ndarray[cnp.float64_t, ndim=1] score = np.zeros(full)
@@ -108,7 +112,7 @@ def exact_partition_dp(adj):
             links += 1
         in2[s] = in2[rest] + 2.0 * links
         dsum[s] = dsum[rest] + deg[v]
-        score[s] = in2[s] / two_m - (dsum[s] / two_m) * (dsum[s] / two_m)
+        score[s] = in2[s] / tm - (dsum[s] / tm) * (dsum[s] / tm)
     cdef cnp.ndarray[cnp.float64_t, ndim=1] best = np.full(full, -np.inf)
     cdef cnp.ndarray[cnp.int64_t, ndim=1] choice = np.zeros(full, dtype=np.int64)
     best[0] = 0.0

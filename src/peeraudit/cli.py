@@ -118,7 +118,9 @@ def scm_cmd(ctx, reports, threshold, rule, out_network, out_groups):
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--correction", type=click.Choice(["none", "holm"]), default="none", show_default=True)
 @click.option("--restarts", type=int, default=communities.DEFAULT_RESTARTS, show_default=True)
-@click.option("--exact-max-n", type=int, default=communities.EXACT_MAX_N, show_default=True)
+@click.option("--exact-max-n", type=click.IntRange(1, communities.EXACT_MAX_N_LIMIT),
+              default=communities.EXACT_MAX_N, show_default=True,
+              help="Largest connected component solved exactly; a larger one sends the whole network to Louvain.")
 @click.option("--out-pvalues", default="pvalues.csv", show_default=True)
 @click.option("--out-network", default="network.csv", show_default=True)
 @click.option("--out-groups", default="groups.json", show_default=True)

@@ -1,14 +1,20 @@
 """Peer groups from a binary peer network via modularity maximization.
 
-Small networks (<= 12 vertices by default) are solved to the global
-optimum by a subset dynamic program; larger ones use multi-restart
-greedy agglomeration (Louvain) with a final single-vertex refinement
-sweep. Also composes the full backbone-then-communities pipeline.
+A modularity-optimal partition never splits a community across connected
+components (Brandes et al., *On Modularity Clustering*, IEEE TKDE 2008).
+So each connected component is solved to its exact optimum on its own,
+by a subset dynamic program scored against the whole network's 2m, and
+isolated vertices are singletons. Only when some component has more than
+``exact_max_n`` vertices (12 by default) does the whole network go to
+multi-restart greedy agglomeration (Louvain) with a final single-vertex
+refinement sweep. Also composes the full backbone-then-communities
+pipeline.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from ._kernels import exact_partition_dp
 from .backbone import BackboneResult, extract_backbone
@@ -18,6 +24,8 @@ from .scm import GroupAssignment
 
 DEFAULT_RESTARTS = 50
 EXACT_MAX_N = 12
+# the subset DP holds several arrays of 2^n floats (8 MiB each at n = 20)
+EXACT_MAX_N_LIMIT = 20
 
 
 def modularity(net: np.ndarray, labels: np.ndarray) -> float:
@@ -103,6 +111,28 @@ def _louvain(net: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return flat
 
 
+def _exact_by_component(net: np.ndarray, exact_max_n: int):
+    """Exact optimum as the union of per-component optima, scored against
+    the whole network's 2m; None if a component exceeds ``exact_max_n``."""
+    n_comp, comp = connected_components(net != 0, directed=False)
+    sizes = np.bincount(comp, minlength=n_comp)
+    if sizes.max(initial=0) > exact_max_n:
+        return None
+    two_m = float(net.sum())
+    labels = np.arange(net.shape[0])  # isolated vertices stay singletons
+    q = 0.0
+    for c in np.flatnonzero(sizes >= 2):
+        members = np.flatnonzero(comp == c)
+        sub_labels, sub_q = exact_partition_dp(
+            net[np.ix_(members, members)], two_m=two_m
+        )
+        # community k of a component is named after its vertex members[k]
+        # (k <= the position of its first member), so no names collide
+        labels[members] = members[sub_labels]
+        q += sub_q
+    return canonical_labels(labels), q
+
+
 def maximize_modularity(
     net: np.ndarray,
     restarts: int = DEFAULT_RESTARTS,
@@ -110,18 +140,27 @@ def maximize_modularity(
     exact_max_n: int = EXACT_MAX_N,
     force_heuristic: bool = False,
 ) -> tuple[np.ndarray, float]:
-    """Best-Q partition; exact for small networks, multi-restart otherwise.
+    """Best-Q partition of a binary undirected network; returns (labels, Q).
 
-    Ties between equal-Q partitions resolve to the lexicographically
-    smallest canonical labelling, so results are reproducible.
+    When every connected component has at most ``exact_max_n`` vertices
+    (1 to ``EXACT_MAX_N_LIMIT``), the result is the exact optimum, found
+    component by component, and ``restarts`` and ``seed`` are unused;
+    the DP's fixed subset order breaks ties between equal-Q partitions.
+    Otherwise, or with ``force_heuristic``, the whole network goes through
+    ``restarts`` Louvain runs; ties between equal-Q runs resolve to the
+    lexicographically smallest canonical labelling, so results are
+    reproducible. Labels are canonical (numbered by first appearance).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not 1 <= exact_max_n <= EXACT_MAX_N_LIMIT:
+        raise ValueError(f"exact_max_n must be in [1, {EXACT_MAX_N_LIMIT}]")
     net = np.asarray(net)
     n = net.shape[0]
-    if n <= exact_max_n and not force_heuristic:
-        labels, q = exact_partition_dp(net.astype(np.int64))
-        return canonical_labels(labels), q
+    if not force_heuristic:
+        exact = _exact_by_component(net, exact_max_n)
+        if exact is not None:
+            return exact
     master = as_rng(seed)
     base = master.integers(0, 2**63 - 1)
     best_labels = None

@@ -32,15 +32,18 @@ class RecallMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.int8)
-        if entries.ndim != 2:
+        raw = np.asarray(self.entries)
+        if raw.ndim != 2:
             raise DataError("entries must be a 2-d matrix")
-        if entries.shape[0] != len(self.children):
+        if raw.shape[0] != len(self.children):
             raise DataError(
-                f"{len(self.children)} children but {entries.shape[0]} matrix rows"
+                f"{len(self.children)} children but {raw.shape[0]} matrix rows"
             )
-        if not np.isin(entries, (0, 1)).all():
+        # checked before the int8 cast, which would wrap 257 to 1 and
+        # truncate 0.7 to 0; NaN is in neither set
+        if not np.isin(raw, (0, 1)).all():
             raise DataError("matrix cells must be 0 or 1")
+        entries = np.ascontiguousarray(raw, dtype=np.int8)
         if entries.shape[1] == 0:
             raise DataError("no reports")
         empty = np.flatnonzero(entries.sum(axis=0) == 0)

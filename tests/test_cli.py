@@ -40,6 +40,14 @@ def test_becd_subcommand_outputs(tmp_path, reports_file):
         assert (out / name).exists()
 
 
+@pytest.mark.parametrize("value", ["0", "21"])
+def test_becd_exact_max_n_out_of_range_is_config_error(tmp_path, reports_file, value):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "becd", str(reports_file),
+                 "--exact-max-n", value]) == 1
+    assert not out.exists()
+
+
 def test_simulate_shuffle(tmp_path, reports_file):
     out = tmp_path / "sim"
     code = main(

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from peeraudit import communities
+from peeraudit._kernels import exact_partition_dp
 from peeraudit.communities import (
+    EXACT_MAX_N_LIMIT,
     becd_groups,
     canonical_labels,
     maximize_modularity,
@@ -47,6 +53,57 @@ def _brute_force_q(net, labels):
             if labels[i] == labels[j]:
                 q += net[i, j] - k[i] * k[j] / two_m
     return q / two_m
+
+
+def _component_scores(net, members, two_m):
+    """Score (Q terms against the whole network's 2m) of every partition
+    of one component, highest first."""
+    sub = np.asarray(net, dtype=float)[np.ix_(members, members)]
+    deg = sub.sum(axis=1)
+    scores = []
+    for p in _all_partitions(len(members)):
+        scores.append(
+            sum(
+                sub[np.ix_(p == c, p == c)].sum() / two_m
+                - (deg[p == c].sum() / two_m) ** 2
+                for c in np.unique(p)
+            )
+        )
+    return sorted(scores, reverse=True)
+
+
+def _components(net):
+    _, comp = connected_components(np.asarray(net) != 0, directed=False)
+    return [np.flatnonzero(comp == c) for c in np.unique(comp)]
+
+
+def _disjoint_union(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    net = np.zeros((n, n), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        k = b.shape[0]
+        net[at : at + k, at : at + k] = b
+        at += k
+    return net
+
+
+_TRIANGLE = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
+
+
+def _path(k):
+    net = np.zeros((k, k), dtype=np.int64)
+    for i in range(k - 1):
+        net[i, i + 1] = net[i + 1, i] = 1
+    return net
+
+
+def _groups(labels, names=None):
+    names = range(len(labels)) if names is None else names
+    out = {}
+    for v, c in zip(names, labels):
+        out.setdefault(int(c), set()).add(int(v))
+    return {frozenset(g) for g in out.values()}
 
 
 def test_modularity_all_in_one_is_zero():
@@ -106,6 +163,99 @@ def test_exact_path_matches_exhaustive_oracle():
         best = max(modularity(net, p) for p in _all_partitions(n))
         _, q = maximize_modularity(net, seed=0)
         assert q == pytest.approx(best, abs=1e-12)
+
+
+def _louvain_must_not_run(*args, **kwargs):
+    raise AssertionError("Louvain ran on a network the DP should solve")
+
+
+def test_components_solved_exactly_without_louvain(monkeypatch):
+    monkeypatch.setattr(communities, "_louvain", _louvain_must_not_run)
+    isolates = np.zeros((3, 3), dtype=np.int64)
+    net = _disjoint_union(
+        _TRIANGLE, _TRIANGLE, _path(5), _TRIANGLE, isolates, _TRIANGLE
+    )
+    assert net.shape[0] == 20 > communities.EXACT_MAX_N
+    two_m = net.sum()
+    best = sum(_component_scores(net, c, two_m)[0] for c in _components(net))
+    labels, q = maximize_modularity(net, seed=0)
+    assert q == pytest.approx(best, abs=1e-12)
+    assert modularity(net, labels) == pytest.approx(q, abs=1e-12)
+    assert (labels == canonical_labels(labels)).all()
+    # the isolated vertices 14, 15, 16 are singletons
+    assert {frozenset({14}), frozenset({15}), frozenset({16})} <= _groups(labels)
+
+
+def test_component_above_exact_max_n_sends_whole_network_to_louvain(monkeypatch):
+    seen = []
+    louvain = communities._louvain
+
+    def spy(net, rng):
+        seen.append(net.shape[0])
+        return louvain(net, rng)
+
+    monkeypatch.setattr(communities, "_louvain", spy)
+    net = _disjoint_union(_path(6), _TRIANGLE)
+    labels, q = maximize_modularity(net, restarts=4, seed=0, exact_max_n=5)
+    assert seen == [9] * 4
+    assert modularity(net, labels) == pytest.approx(q, abs=1e-12)
+    seen.clear()
+    maximize_modularity(net, restarts=4, seed=0, exact_max_n=6)
+    assert seen == []
+
+
+@pytest.mark.parametrize("bad", [0, -1, EXACT_MAX_N_LIMIT + 1, 40])
+def test_exact_max_n_bounded(bad):
+    # rejected before any array is built
+    with pytest.raises(ValueError, match="exact_max_n"):
+        maximize_modularity(np.zeros((2, 2), dtype=np.int64), exact_max_n=bad)
+
+
+def test_exact_partition_dp_default_two_m_is_own_degree_sum():
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        adj = np.triu((rng.random((n, n)) < 0.4).astype(np.int64), 1)
+        adj = adj + adj.T
+        labels, q = exact_partition_dp(adj)
+        labels_m, q_m = exact_partition_dp(adj, two_m=adj.sum())
+        assert labels_m.tolist() == labels.tolist()
+        assert q_m == q
+
+
+@st.composite
+def _decomposable_network(draw):
+    """Block-diagonal random network of 3-6 blocks of 1-5 vertices, and a
+    vertex permutation."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=3, max_size=6))
+    blocks = []
+    for k in sizes:
+        upper = draw(st.lists(st.booleans(), min_size=k * (k - 1) // 2,
+                              max_size=k * (k - 1) // 2))
+        b = np.zeros((k, k), dtype=np.int64)
+        b[np.triu_indices(k, 1)] = upper
+        blocks.append(b + b.T)
+    net = _disjoint_union(*blocks)
+    perm = draw(st.permutations(range(net.shape[0])))
+    return net, np.array(perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_decomposable_network())
+def test_component_path_invariant_under_vertex_permutation(case):
+    net, perm = case
+    two_m = net.sum()
+    # compare partitions only where the optimum is unique: a tie may be
+    # broken differently once vertices are renumbered
+    for c in _components(net):
+        if len(c) > 1:
+            scores = _component_scores(net, c, two_m)
+            assume(scores[0] > scores[1] + 1e-9)
+    labels, q = maximize_modularity(net, seed=0)
+    labels_p, q_p = maximize_modularity(net[np.ix_(perm, perm)], seed=0)
+    assert q_p == pytest.approx(q, abs=1e-12)
+    # vertex i of the permuted network is vertex perm[i] of the original
+    assert _groups(labels_p, perm) == _groups(labels)
 
 
 def test_heuristic_beats_trivial_partitions():

@@ -47,7 +47,9 @@ def test_exact_partition_parity():
         net = (rng.random((n, n)) < 0.4).astype(np.int64)
         net = np.triu(net, 1)
         net = net + net.T
-        la, qa = _fallback.exact_partition_dp(net)
-        lb, qb = speedups.exact_partition_dp(net)
-        assert qa == pytest.approx(qb, abs=1e-12)
-        assert (np.asarray(la) == np.asarray(lb)).all()
+        # None: net's own 2m; otherwise net as a component of a larger network
+        for two_m in (None, float(net.sum() + 6)):
+            la, qa = _fallback.exact_partition_dp(net, two_m=two_m)
+            lb, qb = speedups.exact_partition_dp(net, two_m=two_m)
+            assert qa == pytest.approx(qb, abs=1e-12)
+            assert (np.asarray(la) == np.asarray(lb)).all()

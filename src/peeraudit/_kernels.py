@@ -1,32 +1,55 @@
-"""Pure-numpy implementations of the hot kernels.
+"""The numerical kernels: Poisson-binomial upper tails and the exact
+modularity DP.
 
-Used when the compiled extension is unavailable (or disabled via the
-PEERAUDIT_NO_EXT environment variable). Results agree with the compiled
-versions to floating-point rounding.
+Both tail kernels share one survival recursion (Hong, CSDA 2013, for
+background): with S_k(t) = P(X_k >= t) for X_k the sum of the first k
+Bernoulli trials,
+
+    S_k(t) = p_k S_{k-1}(t-1) + (1 - p_k) S_{k-1}(t),  S_k(0) = 1.
+
+Every term is a nonnegative sum, so nothing cancels and small tails keep
+their relative precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# the only backend, kept as a name that provenance records can report
+BACKEND = "python"
+
+
+def _upper_tails(probs: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """P(X_d >= observed[d]) for every column d of ``probs`` (m, d), where
+    X_d is a sum of independent Bernoulli(probs[:, d]) trials.
+
+    All columns run in lockstep, one vectorized step per trial. Only
+    S(0..max(observed)) is kept, and step k touches only the S(t) with
+    t <= k + 1 that can be nonzero. An observed count above m is read from
+    S(m + 1), which no step touches and so stays 0.
+    """
+    m, d = probs.shape
+    observed = np.clip(observed, 0, m + 1)
+    width = int(observed.max(initial=0)) + 1
+    surv = np.zeros((width, d))
+    surv[0] = 1.0
+    shifted = np.empty((width, d))
+    complement = 1.0 - probs
+    for k in range(m):
+        hi = min(k + 1, width - 1)
+        np.multiply(surv[:hi], probs[k], out=shifted[:hi])
+        surv[1 : hi + 1] *= complement[k]
+        surv[1 : hi + 1] += shifted[:hi]
+    return np.minimum(surv[observed, np.arange(d)], 1.0)
+
 
 def pb_upper_tail(probs: np.ndarray, observed: int) -> float:
     """P(X >= observed) for X a sum of independent Bernoulli(probs) trials.
 
-    Exact O(m^2) convolution of the probability generating function.
+    Exact, O(m * observed).
     """
     probs = np.asarray(probs, dtype=np.float64)
-    m = probs.shape[0]
-    if observed <= 0:
-        return 1.0
-    if observed > m:
-        return 0.0
-    pmf = np.zeros(m + 1)
-    pmf[0] = 1.0
-    for k, p in enumerate(probs):
-        pmf[1 : k + 2] = pmf[1 : k + 2] * (1.0 - p) + pmf[: k + 1] * p
-        pmf[0] *= 1.0 - p
-    return float(pmf[observed:].sum())
+    return float(_upper_tails(probs[:, None], np.array([observed]))[0])
 
 
 def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
@@ -34,28 +57,19 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
 
     For dyad (i, j) the null co-occurrence count over reports is a sum of
     independent Bernoulli(cell_probs[i, k] * cell_probs[j, k]) trials; the
-    p-value is P(X >= cooc[i, j]). All dyad convolutions run in lockstep,
-    one vectorized step per report. Diagonal is set to 1.
+    p-value is P(X >= cooc[i, j]). A dyad that never co-occurs has p = 1
+    exactly and is not computed. Symmetric, diagonal 1.
     """
     cell_probs = np.asarray(cell_probs, dtype=np.float64)
     cooc = np.asarray(cooc)
-    n, m = cell_probs.shape
+    n = cell_probs.shape[0]
     out = np.ones((n, n))
-    if n < 2:
-        return out
     iu, ju = np.triu_indices(n, 1)
-    probs = cell_probs[iu] * cell_probs[ju]  # (n_dyads, m)
-    pmf = np.zeros((len(iu), m + 1))
-    pmf[:, 0] = 1.0
-    for k in range(m):
-        p = probs[:, k : k + 1]
-        pmf[:, 1 : k + 2] = pmf[:, 1 : k + 2] * (1.0 - p) + pmf[:, : k + 1] * p
-        pmf[:, 0] *= 1.0 - p[:, 0]
-    # survival at the observed count: sum pmf[obs:] via reverse cumsum
-    rev = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-    obs = np.clip(cooc[iu, ju], 0, m).astype(np.int64)
-    vals = np.take_along_axis(rev, obs[:, None], axis=1)[:, 0]
-    vals = np.minimum(vals, 1.0)
+    observed = cooc[iu, ju]
+    keep = observed > 0
+    iu, ju, observed = iu[keep], ju[keep], observed[keep]
+    probs = np.ascontiguousarray((cell_probs[iu] * cell_probs[ju]).T)  # (m, n_dyads)
+    vals = _upper_tails(probs, observed)
     out[iu, ju] = vals
     out[ju, iu] = vals
     return out

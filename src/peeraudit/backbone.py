@@ -170,9 +170,9 @@ def poisson_binomial_upper_tail(
 ) -> float:
     """P(X >= observed) for X a sum of independent Bernoulli(probs) trials.
 
-    "exact" runs the O(m^2) convolution; "rna" uses the refined normal
-    approximation (useful beyond a few thousand trials); "auto" picks
-    exact up to 5000 trials.
+    "exact" runs the O(m * observed) survival recursion; "rna" uses the
+    refined normal approximation (useful beyond a few thousand trials);
+    "auto" picks exact up to 5000 trials.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or ((probs < 0) | (probs > 1)).any():

@@ -12,6 +12,7 @@ non-convergence.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import sys
 
@@ -78,14 +79,19 @@ def _groups_json(assignment: scm.GroupAssignment, p_stat: float) -> dict:
 
 @click.group(context_settings={"auto_envvar_prefix": "PEERAUDIT"})
 @click.option("--seed", type=int, default=0, show_default=True, help="Master RNG seed.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for audits.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for audits, at most the CPU count.")
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True, help="Output directory.")
 @click.version_option(__version__)
 @click.pass_context
 def cli(ctx, seed, threads, out):
     """Peer-group identification pipelines and their false-positive audits."""
+    # every worker is an OS thread, and trials hold the interpreter lock:
+    # threads beyond the CPU count cost resources and add no speed
+    cpus = os.cpu_count() or 1
+    if threads > cpus:
+        click.echo(f"warning: --threads {threads} exceeds the {cpus} CPUs; using {cpus}", err=True)
     ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, threads=max(1, threads), out=out)
+    ctx.obj.update(seed=seed, threads=min(max(1, threads), cpus), out=out)
 
 
 @cli.command("scm")

@@ -150,11 +150,25 @@ def _record(
     )
 
 
-def _run_trials(worker, n_trials: int, threads: int) -> list[RunRecord]:
+def _run_trials(worker, n_trials: int, threads: int, seed: int) -> list[RunRecord]:
+    """``worker(t)`` for every trial t, whose seed is ``seed + t``.
+
+    An exception from a trial keeps its class, so callers and the CLI exit
+    code still see what went wrong, and its message gains the trial index
+    and seed, enough to replay that one classroom.
+    """
+
+    def run(trial: int) -> RunRecord:
+        try:
+            return worker(trial)
+        except Exception as exc:
+            exc.args = (f"trial {trial} (seed {seed + trial}): {exc}",)
+            raise
+
     if threads <= 1:
-        return [worker(t) for t in range(n_trials)]
+        return [run(t) for t in range(n_trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_trials)))
+        return list(pool.map(run, range(n_trials)))
 
 
 def run_shuffle_audit(
@@ -189,7 +203,7 @@ def run_shuffle_audit(
         )
         return _record(trial, method, "shuffle", shuffled, p_stat)
 
-    records = _run_trials(worker, n_trials, threads)
+    records = _run_trials(worker, n_trials, threads, seed)
     return records, summarize(records)
 
 
@@ -230,7 +244,7 @@ def run_profile_audit(
         )
         return _record(trial, method, "generate", rm, p_stat, profile=profile)
 
-    records = _run_trials(worker, n_trials, threads)
+    records = _run_trials(worker, n_trials, threads, seed)
     return records, summarize(records), sum(resampled)
 
 

@@ -10,6 +10,7 @@ from peeraudit.backbone import (
     holm_adjust,
     poisson_binomial_upper_tail,
 )
+from peeraudit._kernels import dyad_pvalues
 from peeraudit.recall import RecallMatrix
 from peeraudit.scm import cooccurrence
 
@@ -84,18 +85,48 @@ def test_tail_non_increasing_in_observed():
     assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
 
 
+def _brute_tail(probs, k):
+    """P(X >= k) by summing over all 2^m outcomes."""
+    m = len(probs)
+    bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
+    weights = np.prod(np.where(bits == 1, probs, 1 - probs), axis=1)
+    return weights[bits.sum(axis=1) >= k].sum()
+
+
 def test_tail_brute_force_small():
     rng = np.random.default_rng(12)
     for _ in range(10):
         m = int(rng.integers(1, 9))
         probs = rng.uniform(0, 1, size=m)
         k = int(rng.integers(0, m + 1))
-        bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
-        weights = np.prod(np.where(bits == 1, probs, 1 - probs), axis=1)
-        expected = weights[bits.sum(axis=1) >= k].sum()
         assert poisson_binomial_upper_tail(probs, k) == pytest.approx(
-            expected, abs=1e-12
+            _brute_tail(probs, k), abs=1e-12
         )
+
+
+def test_dyad_pvalues_brute_force():
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(1, 13))
+        cell_p = rng.uniform(0, 1, size=(n, m))
+        # BiCM peeling leaves cells of exactly 0 and 1
+        cell_p[rng.random((n, m)) < 0.15] = 0.0
+        cell_p[rng.random((n, m)) < 0.15] = 1.0
+        cooc = np.triu(rng.integers(0, m + 3, size=(n, n)), 1)
+        cooc[0, 1], cooc[0, 2], cooc[1, 2] = 0, m, m + 1
+        cooc = cooc + cooc.T
+        np.fill_diagonal(cooc, m)
+        p = dyad_pvalues(cell_p, cooc)
+        assert (p == p.T).all()
+        assert (np.diag(p) == 1.0).all()
+        for i, j in zip(*np.triu_indices(n, 1)):
+            k = cooc[i, j]
+            assert abs(p[i, j] - _brute_tail(cell_p[i] * cell_p[j], k)) <= 1e-12
+            if k == 0:
+                assert p[i, j] == 1.0
+            if k > m:
+                assert p[i, j] == 0.0
 
 
 def test_tail_rna_close_to_exact():

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: outputs, manifests, exit codes."""
 
 import json
+import os
 
 import pytest
 
+from peeraudit import nullmodels
+from peeraudit.backbone import ConvergenceError
 from peeraudit.cli import main
+from peeraudit.recall import DataError
 
 REPORTS = "ana,bea,cora\nana,bea,cora\nana,bea\ndina,eve\ndina,eve,fay\ndina,eve,fay\n"
 
@@ -114,6 +118,31 @@ def test_audit_study3_writes_regression(tmp_path):
     reg = json.loads((out / "regression.json").read_text())
     assert len(reg["b"]) == 5
     assert reg["predictor_basis"] == "generator profile parameters"
+
+
+@pytest.mark.parametrize("error, code", [(ConvergenceError, 3), (DataError, 2)])
+def test_audit_trial_failure_names_trial_and_seed(tmp_path, monkeypatch, capsys, error, code):
+    shuffle = nullmodels.curveball_randomize
+
+    def fail_on_seed_9(rm, n_trades=None, seed=None):
+        if seed == 9:
+            raise error("injected failure")
+        return shuffle(rm, n_trades=n_trades, seed=seed)
+
+    monkeypatch.setattr(nullmodels, "curveball_randomize", fail_on_seed_9)
+    assert main(
+        ["--seed", "7", "--out", str(tmp_path / "o"), "audit",
+         "--study", "2", "--trials", "4"]
+    ) == code
+    err = capsys.readouterr().err
+    assert "trial 2 (seed 9): injected failure" in err
+
+
+def test_threads_clamped_to_cpu_count(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["--threads", "100000", "--out", str(out), "audit", "--study", "1"]) == 0
+    assert "warning: --threads 100000" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["threads"] == os.cpu_count()
 
 
 def test_reproducible_byte_identical_outputs(tmp_path):

@@ -9,7 +9,6 @@ from .experiments import (
     RegressionResult,
     RunRecord,
     ols_regression,
-    run_benchmark_study,
     run_profile_audit,
     run_shuffle_audit,
     summarize,
@@ -66,7 +65,6 @@ __all__ = [
     "ols_regression",
     "parse_reports",
     "poisson_binomial_upper_tail",
-    "run_benchmark_study",
     "run_profile_audit",
     "run_shuffle_audit",
     "scm_groups",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from ._kernels import dyad_pvalues as _dyad_pvalues
 from ._kernels import pb_upper_tail as _pb_upper_tail
@@ -20,7 +20,6 @@ from .scm import cooccurrence
 
 MARGIN_TOL = 1e-6
 MAX_FIT_ITER = 10_000
-EXACT_TAIL_LIMIT = 5000
 
 
 class ConvergenceError(RuntimeError):
@@ -165,37 +164,15 @@ def _newton_multipliers(rt, ct, x0, y0):
     return unpack(sol.x)
 
 
-def poisson_binomial_upper_tail(
-    probs, observed: int, method: str = "auto"
-) -> float:
-    """P(X >= observed) for X a sum of independent Bernoulli(probs) trials.
-
-    "exact" runs the O(m * observed) survival recursion; "rna" uses the
-    refined normal approximation (useful beyond a few thousand trials);
-    "auto" picks exact up to 5000 trials.
-    """
+def poisson_binomial_upper_tail(probs, observed: int) -> float:
+    """P(X >= observed) for X a sum of independent Bernoulli(probs) trials,
+    exact by the O(m * observed) survival recursion."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or ((probs < 0) | (probs > 1)).any():
         raise ValueError("probs must be a vector of probabilities")
     if not 0 <= observed <= probs.size:
         raise ValueError(f"observed must be in [0, {probs.size}]")
-    if method == "auto":
-        method = "exact" if probs.size <= EXACT_TAIL_LIMIT else "rna"
-    if method == "exact":
-        return float(_pb_upper_tail(probs, int(observed)))
-    if method != "rna":
-        raise ValueError(f"unknown method {method!r}")
-    if observed <= 0:
-        return 1.0
-    mu = probs.sum()
-    var = (probs * (1.0 - probs)).sum()
-    if var == 0.0:
-        return 1.0 if observed <= mu else 0.0
-    sigma = np.sqrt(var)
-    gamma = (probs * (1.0 - probs) * (1.0 - 2.0 * probs)).sum() / var ** 1.5
-    z = (observed - 0.5 - mu) / sigma
-    cdf = stats.norm.cdf(z) + gamma * (1.0 - z * z) * stats.norm.pdf(z) / 6.0
-    return float(np.clip(1.0 - cdf, 0.0, 1.0))
+    return float(_pb_upper_tail(probs, int(observed)))
 
 
 def holm_adjust(pvals: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ non-convergence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import os
+import math
 import pathlib
 import sys
 
@@ -56,7 +57,7 @@ def _write_manifest(ctx, out: pathlib.Path, subcommand: str, config: dict) -> No
             "subcommand": subcommand,
             "config": config,
             "seed": ctx.obj["seed"],
-            "threads": ctx.obj["threads"],
+            "threads": 1,
         },
     )
 
@@ -79,19 +80,16 @@ def _groups_json(assignment: scm.GroupAssignment, p_stat: float) -> dict:
 
 @click.group(context_settings={"auto_envvar_prefix": "PEERAUDIT"})
 @click.option("--seed", type=int, default=0, show_default=True, help="Master RNG seed.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads for audits, at most the CPU count.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Accepted and ignored: audit trials run in one thread.")
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True, help="Output directory.")
 @click.version_option(__version__)
 @click.pass_context
 def cli(ctx, seed, threads, out):
     """Peer-group identification pipelines and their false-positive audits."""
-    # every worker is an OS thread, and trials hold the interpreter lock:
-    # threads beyond the CPU count cost resources and add no speed
-    cpus = os.cpu_count() or 1
-    if threads > cpus:
-        click.echo(f"warning: --threads {threads} exceeds the {cpus} CPUs; using {cpus}", err=True)
+    if threads > 1:
+        click.echo(f"note: --threads {threads} is ignored; audit trials run in one thread", err=True)
     ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, threads=min(max(1, threads), cpus), out=out)
+    ctx.obj.update(seed=seed, out=out)
 
 
 @cli.command("scm")
@@ -154,6 +152,36 @@ def becd_cmd(ctx, reports, alpha, correction, restarts, exact_max_n,
     click.echo(f"P = {p_stat:.6g}")
 
 
+def _load_profile(path) -> nullmodels.ClassroomProfile:
+    """The five generator parameters from a JSON object (an optional
+    ``schema_version`` key aside); anything else raises ``DataError``."""
+    try:
+        raw = json.loads(pathlib.Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"profile {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"profile {path}: expected a JSON object, got {type(raw).__name__}")
+    raw.pop("schema_version", None)
+    names = [f.name for f in dataclasses.fields(nullmodels.ClassroomProfile)]
+    for key in raw:
+        if key not in names:
+            raise DataError(f"profile {path}: unknown key {key!r}")
+    for key in names:
+        if key not in raw:
+            raise DataError(f"profile {path}: missing key {key!r}")
+        value = raw[key]
+        count = key in ("n_children", "n_reports")
+        kinds = int if count else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, kinds)
+                or isinstance(value, float) and not math.isfinite(value)):
+            kind = "an integer" if count else "a finite number"
+            raise DataError(f"profile {path}: {key} must be {kind}, got {value!r}")
+    try:
+        return nullmodels.ClassroomProfile(**raw)
+    except ValueError as exc:
+        raise DataError(f"profile {path}: {exc}") from None
+
+
 @cli.command("simulate")
 @click.option("--mode", type=click.Choice(["shuffle", "generate"]), required=True)
 @click.option("--reports", type=click.Path(exists=True, dir_okay=False), default=None,
@@ -176,24 +204,11 @@ def simulate_cmd(ctx, mode, reports, profile_path, trials):
             nullmodels.curveball_randomize(rm, seed=seed + t) for t in range(trials)
         )
     else:
-        fixed = None
-        if profile_path is not None:
-            raw = json.loads(pathlib.Path(profile_path).read_text())
-            raw.pop("schema_version", None)
-            fixed = nullmodels.ClassroomProfile(**raw)
-
-        def _generate():
-            for t in range(trials):
-                rng = np.random.default_rng(seed + t)
-                while True:
-                    prof = fixed or nullmodels.sample_profile(seed=rng)
-                    try:
-                        yield nullmodels.generate_classroom(prof, seed=rng)
-                        break
-                    except nullmodels.InfeasibleProfileError:
-                        if fixed:
-                            raise
-        matrices = _generate()
+        fixed = _load_profile(profile_path) if profile_path is not None else None
+        matrices = (
+            nullmodels.draw_classroom(np.random.default_rng(seed + t), profile=fixed)[1]
+            for t in range(trials)
+        )
     for t, matrix in enumerate(matrices):
         (out / f"trial_{t:04d}.txt").write_text(to_report_lines(matrix))
     _write_manifest(
@@ -215,15 +230,18 @@ def simulate_cmd(ctx, mode, reports, profile_path, trials):
 def audit_cmd(ctx, study, method, trials, threshold, alpha, restarts):
     """Reproduce one of the four studies on the committed benchmark."""
     method = method or STUDY_DEFAULT_METHOD[study]
+    if study == "3" and trials < experiments.MIN_REGRESSION_RECORDS:
+        raise click.UsageError(
+            f"--study 3 fits a regression and needs --trials >= {experiments.MIN_REGRESSION_RECORDS}"
+        )
     seed = ctx.obj["seed"]
-    threads = ctx.obj["threads"]
     out = _out_dir(ctx)
     kwargs = dict(threshold=threshold, alpha=alpha, restarts=restarts)
     extra: dict = {"study": study, "method": method}
     regression = None
     if study in ("1", "4a"):
         rm = datasets.load_benchmark()
-        assignment, p_stat = experiments.run_benchmark_study(rm, method, seed=seed, **kwargs)
+        assignment, p_stat = experiments.run_pipeline(rm, method, seed=seed, **kwargs)
         records = [experiments._record(0, method, "benchmark", rm, p_stat)]
         summary = experiments.summarize(records)
         blocks, allowed = datasets.load_benchmark_blocks()
@@ -231,11 +249,11 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha, restarts):
     elif study in ("2", "4b"):
         rm = datasets.load_benchmark()
         records, summary = experiments.run_shuffle_audit(
-            rm, method, trials, seed=seed, threads=threads, **kwargs
+            rm, method, trials, seed=seed, **kwargs
         )
     else:  # 3 or 4c
         records, summary, resampled = experiments.run_profile_audit(
-            method, trials, seed=seed, threads=threads, **kwargs
+            method, trials, seed=seed, **kwargs
         )
         extra["n_resampled"] = resampled
         if study == "3":

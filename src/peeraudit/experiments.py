@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,12 +103,6 @@ def run_pipeline(
     return assignment, scm.membership_statistic(assignment, rm.n_children)
 
 
-def run_benchmark_study(
-    rm: RecallMatrix, method: str, **kwargs
-) -> tuple[scm.GroupAssignment, float]:
-    return run_pipeline(rm, method, **kwargs)
-
-
 def _safe_skew(x) -> float:
     try:
         return nullmodels.skewness(x)
@@ -150,25 +143,21 @@ def _record(
     )
 
 
-def _run_trials(worker, n_trials: int, threads: int, seed: int) -> list[RunRecord]:
+def _run_trials(worker, n_trials: int, seed: int) -> list[RunRecord]:
     """``worker(t)`` for every trial t, whose seed is ``seed + t``.
 
     An exception from a trial keeps its class, so callers and the CLI exit
     code still see what went wrong, and its message gains the trial index
     and seed, enough to replay that one classroom.
     """
-
-    def run(trial: int) -> RunRecord:
+    records = []
+    for trial in range(n_trials):
         try:
-            return worker(trial)
+            records.append(worker(trial))
         except Exception as exc:
             exc.args = (f"trial {trial} (seed {seed + trial}): {exc}",)
             raise
-
-    if threads <= 1:
-        return [run(t) for t in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, range(n_trials)))
+    return records
 
 
 def run_shuffle_audit(
@@ -180,13 +169,9 @@ def run_shuffle_audit(
     threshold: float = scm.DEFAULT_THRESHOLD,
     alpha: float = 0.05,
     restarts: int = communities.DEFAULT_RESTARTS,
-    threads: int = 1,
 ) -> tuple[list[RunRecord], AuditSummary]:
-    """Fixed-margin shuffles of ``rm``, one pipeline run each.
-
-    Trial t uses seed ``seed + t``, so results do not depend on the
-    thread count.
-    """
+    """Fixed-margin shuffles of ``rm``, one pipeline run each; trial t
+    uses seed ``seed + t``."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
 
@@ -203,7 +188,7 @@ def run_shuffle_audit(
         )
         return _record(trial, method, "shuffle", shuffled, p_stat)
 
-    records = _run_trials(worker, n_trials, threads, seed)
+    records = _run_trials(worker, n_trials, seed)
     return records, summarize(records)
 
 
@@ -215,7 +200,6 @@ def run_profile_audit(
     threshold: float = scm.DEFAULT_THRESHOLD,
     alpha: float = 0.05,
     restarts: int = communities.DEFAULT_RESTARTS,
-    threads: int = 1,
 ) -> tuple[list[RunRecord], AuditSummary, int]:
     """Synthetic classrooms with profiles drawn uniformly within bounds.
 
@@ -223,17 +207,14 @@ def run_profile_audit(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    resampled = [0] * n_trials
+    resampled = 0
 
     def worker(trial: int) -> RunRecord:
-        rng = np.random.default_rng(seed + trial)
-        while True:
-            profile = nullmodels.sample_profile(bounds, seed=rng)
-            try:
-                rm = nullmodels.generate_classroom(profile, seed=rng)
-                break
-            except nullmodels.InfeasibleProfileError:
-                resampled[trial] += 1
+        nonlocal resampled
+        profile, rm, n_resampled = nullmodels.draw_classroom(
+            np.random.default_rng(seed + trial), bounds
+        )
+        resampled += n_resampled
         _, p_stat = run_pipeline(
             rm,
             method,
@@ -244,8 +225,8 @@ def run_profile_audit(
         )
         return _record(trial, method, "generate", rm, p_stat, profile=profile)
 
-    records = _run_trials(worker, n_trials, threads, seed)
-    return records, summarize(records), sum(resampled)
+    records = _run_trials(worker, n_trials, seed)
+    return records, summarize(records), resampled
 
 
 def summarize(records: list[RunRecord]) -> AuditSummary:
@@ -276,6 +257,8 @@ def histogram_counts(
     ]
 
 
+MIN_REGRESSION_RECORDS = 10
+
 PREDICTORS = (
     "n_children",
     "n_reports",
@@ -294,8 +277,8 @@ def ols_regression(records: list[RunRecord]) -> RegressionResult:
     proxies and are not regressed on. Standardized coefficients come from
     z-scored predictors and outcome. No p-values: the inputs are simulated.
     """
-    if len(records) < 10:
-        raise ValueError("need at least 10 records for the regression")
+    if len(records) < MIN_REGRESSION_RECORDS:
+        raise ValueError(f"need at least {MIN_REGRESSION_RECORDS} records for the regression")
     x = np.array([[getattr(r, name) for name in PREDICTORS] for r in records])
     y = np.array([r.p_stat for r in records])
     n, k = x.shape

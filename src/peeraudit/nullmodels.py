@@ -214,6 +214,28 @@ def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
     return RecallMatrix(tuple(names), entries)
 
 
+def draw_classroom(
+    rng: np.random.Generator,
+    bounds: dict | None = None,
+    profile: ClassroomProfile | None = None,
+) -> tuple[ClassroomProfile, RecallMatrix, int]:
+    """One synthetic classroom; returns (profile, matrix, profiles resampled).
+
+    Without ``profile``, profiles are drawn within ``bounds`` until one is
+    feasible; a fixed ``profile`` that is infeasible raises
+    ``InfeasibleProfileError``.
+    """
+    n_resampled = 0
+    while True:
+        drawn = profile if profile is not None else sample_profile(bounds, seed=rng)
+        try:
+            return drawn, generate_classroom(drawn, seed=rng), n_resampled
+        except InfeasibleProfileError:
+            if profile is not None:
+                raise
+            n_resampled += 1
+
+
 def sample_profile(bounds: dict | None = None, seed=None) -> ClassroomProfile:
     """Uniform draw of a profile within the given (or default) ranges."""
     rng = as_rng(seed)

@@ -50,40 +50,25 @@ def cooccurrence(rm: RecallMatrix) -> np.ndarray:
     return r @ r.T
 
 
-def similarity(cooc: np.ndarray, exclude_pair_entries: bool = False) -> np.ndarray:
+def similarity(cooc: np.ndarray) -> np.ndarray:
     """Pearson correlation between columns of the co-occurrence matrix.
 
     Applied once (not iterated to convergence as CONCOR would). Columns
     with zero variance get similarity 0 against everything, so a child
-    with a constant profile can never acquire edges.
-
-    With ``exclude_pair_entries`` the correlation for pair (i, j) drops
-    rows i and j from both columns — a sensitivity-analysis variant; the
-    default correlates whole columns, diagonal included.
+    with a constant profile can never acquire edges. Whole columns are
+    correlated, diagonal included.
     """
     c = np.asarray(cooc, dtype=np.float64)
     n = c.shape[0]
-    if not exclude_pair_entries:
-        sd = c.std(axis=0)
-        ok = sd > 0
-        s = np.zeros((n, n))
-        if ok.any():
-            sub = np.corrcoef(c[:, ok], rowvar=False)
-            sub = np.atleast_2d(sub)
-            idx = np.flatnonzero(ok)
-            s[np.ix_(idx, idx)] = sub
-        np.fill_diagonal(s, np.where(ok, 1.0, 0.0))
-        return s
+    sd = c.std(axis=0)
+    ok = sd > 0
     s = np.zeros((n, n))
-    for i in range(n):
-        s[i, i] = 1.0 if c[:, i].std() > 0 else 0.0
-        for j in range(i + 1, n):
-            keep = np.ones(n, dtype=bool)
-            keep[[i, j]] = False
-            a, b = c[keep, i], c[keep, j]
-            if a.std() == 0 or b.std() == 0 or keep.sum() < 2:
-                continue
-            s[i, j] = s[j, i] = float(np.corrcoef(a, b)[0, 1])
+    if ok.any():
+        sub = np.corrcoef(c[:, ok], rowvar=False)
+        sub = np.atleast_2d(sub)
+        idx = np.flatnonzero(ok)
+        s[np.ix_(idx, idx)] = sub
+    np.fill_diagonal(s, np.where(ok, 1.0, 0.0))
     return s
 
 
@@ -243,11 +228,10 @@ def scm_groups(
     rm: RecallMatrix,
     threshold: float = DEFAULT_THRESHOLD,
     rule: str = "fifty",
-    exclude_pair_entries: bool = False,
 ) -> tuple[np.ndarray, GroupAssignment]:
     """Run the full pipeline; returns (peer network, group assignment)."""
     cooc = cooccurrence(rm)
-    sim = similarity(cooc, exclude_pair_entries=exclude_pair_entries)
+    sim = similarity(cooc)
     net = threshold_network(sim, threshold)
     if rule == "fifty":
         assignment = identify_groups_fifty_percent(net, rm.children)

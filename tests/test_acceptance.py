@@ -5,6 +5,7 @@ Every test prints a one-line PASS/FAIL verdict (visible with ``pytest -v
 Seeds are fixed so the Monte Carlo criteria are deterministic.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -12,11 +13,10 @@ import pytest
 
 from peeraudit import datasets, experiments, nullmodels
 from peeraudit.backbone import fit_bicm, poisson_binomial_upper_tail
+from peeraudit.cli import main
 from peeraudit.communities import maximize_modularity, modularity
 from peeraudit.recall import RecallMatrix, margins
 from peeraudit.scm import membership_statistic
-
-THREADS = 8
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -30,7 +30,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def test_criterion_1_benchmark_true_positive():
     t0 = time.perf_counter()
     rm = datasets.load_benchmark()
-    assignment, p_stat = experiments.run_benchmark_study(rm, "scm-fifty")
+    assignment, p_stat = experiments.run_pipeline(rm, "scm-fifty")
     blocks, allowed = datasets.load_benchmark_blocks()
     agreement = experiments.block_agreement(assignment, blocks, allowed)
     elapsed = time.perf_counter() - t0
@@ -44,9 +44,7 @@ def test_criterion_1_benchmark_true_positive():
 def test_criterion_2_scm_shuffle_false_positives():
     t0 = time.perf_counter()
     rm = datasets.load_benchmark()
-    _, summary = experiments.run_shuffle_audit(
-        rm, "scm-fifty", 1000, seed=42, threads=THREADS
-    )
+    _, summary = experiments.run_shuffle_audit(rm, "scm-fifty", 1000, seed=42)
     elapsed = time.perf_counter() - t0
     ok = (
         summary.frac_positive >= 0.99
@@ -66,9 +64,7 @@ def test_criterion_2_scm_shuffle_false_positives():
 
 def test_criterion_3_scm_settings_and_signs():
     t0 = time.perf_counter()
-    records, summary, _ = experiments.run_profile_audit(
-        "scm-fifty", 1000, seed=7, threads=THREADS
-    )
+    records, summary, _ = experiments.run_profile_audit("scm-fifty", 1000, seed=7)
     reg = experiments.ols_regression(records)
     elapsed = time.perf_counter() - t0
     signs = tuple(np.sign(reg.b))
@@ -92,12 +88,8 @@ def test_criterion_3_scm_settings_and_signs():
 def test_criterion_4_becd_low_false_positives():
     t0 = time.perf_counter()
     rm = datasets.load_benchmark()
-    _, shuffle_summary = experiments.run_shuffle_audit(
-        rm, "becd", 1000, seed=7, threads=THREADS
-    )
-    _, profile_summary, _ = experiments.run_profile_audit(
-        "becd", 1000, seed=7, threads=THREADS
-    )
+    _, shuffle_summary = experiments.run_shuffle_audit(rm, "becd", 1000, seed=7)
+    _, profile_summary, _ = experiments.run_profile_audit("becd", 1000, seed=7)
     elapsed = time.perf_counter() - t0
     ok = (
         shuffle_summary.frac_positive <= 0.05
@@ -129,7 +121,7 @@ def test_criterion_5_poisson_binomial_exactness():
         bits = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
         weights = np.prod(np.where(bits == 1, probs, 1 - probs), axis=1)
         brute = weights[bits.sum(axis=1) >= observed].sum()
-        got = poisson_binomial_upper_tail(probs, observed, method="exact")
+        got = poisson_binomial_upper_tail(probs, observed)
         worst = max(worst, abs(got - brute))
     ok = worst <= 1e-12
     _verdict(5, ok, f"max |dp - brute| = {worst:.2e} over 200 vectors")
@@ -255,26 +247,29 @@ def test_criterion_8_modularity_oracle():
     )
 
 
-# --- 9: byte-identical records at thread counts 1 and 8 -------------------
+# --- 9: byte-identical records at --threads 1 and 8 ----------------------
 
 
-def test_criterion_9_thread_count_reproducibility():
-    rm = datasets.load_benchmark()
+def test_criterion_9_thread_count_reproducibility(tmp_path, monkeypatch):
+    def no_worker_thread(self):
+        raise AssertionError("an audit started a worker thread")
+
     identical = True
-    for method, kind, trials in (
-        ("scm-fifty", "shuffle", 60),
-        ("becd", "shuffle", 40),
-        ("scm-fifty", "generate", 40),
-        ("becd", "generate", 30),
+    for method, study, trials in (
+        ("scm-fifty", "2", 60),
+        ("becd", "2", 40),
+        ("scm-fifty", "4c", 40),
+        ("becd", "4c", 30),
     ):
-        if kind == "shuffle":
-            a, _ = experiments.run_shuffle_audit(rm, method, trials, seed=7, threads=1)
-            b, _ = experiments.run_shuffle_audit(rm, method, trials, seed=7, threads=8)
-        else:
-            a, _, _ = experiments.run_profile_audit(method, trials, seed=7, threads=1)
-            b, _, _ = experiments.run_profile_audit(method, trials, seed=7, threads=8)
-        identical &= (
-            experiments.records_to_csv(a).encode()
-            == experiments.records_to_csv(b).encode()
-        )
-    _verdict(9, identical, "records.csv byte-identical at threads 1 vs 8")
+        records = []
+        for threads in (1, 8):
+            out = tmp_path / f"{method}-{study}-{threads}"
+            argv = ["--seed", "7", "--threads", str(threads), "--out", str(out),
+                    "audit", "--study", study, "--method", method, "--trials", str(trials)]
+            with monkeypatch.context() as m:
+                if threads > 1:
+                    m.setattr(threading.Thread, "start", no_worker_thread)
+                assert main(argv) == 0
+            records.append((out / "records.csv").read_bytes())
+        identical &= records[0] == records[1]
+    _verdict(9, identical, "records.csv byte-identical at --threads 1 vs 8")

@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: outputs, manifests, exit codes."""
 
 import json
-import os
 
 import pytest
 
@@ -80,6 +79,31 @@ def test_simulate_generate_with_profile(tmp_path):
     assert len([l for l in text.splitlines() if l.strip()]) == 25
 
 
+PROFILE = {
+    "n_children": 18, "n_reports": 25, "nomination_probability": 0.2,
+    "nomination_skew": 0.3, "group_size_skew": 0.5,
+}
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({**PROFILE, "extra": 1}, "extra"),
+    ({k: v for k, v in PROFILE.items() if k != "group_size_skew"}, "group_size_skew"),
+    ({**PROFILE, "n_children": "20"}, "n_children"),
+    ({**PROFILE, "n_reports": True}, "n_reports"),
+    ({**PROFILE, "nomination_skew": float("nan")}, "nomination_skew"),
+    ([1, 2], "JSON object"),
+])
+def test_simulate_malformed_profile_is_data_error(tmp_path, capsys, payload, key):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(payload))
+    out = tmp_path / "sim"
+    assert main(["--out", str(out), "simulate", "--mode", "generate",
+                 "--profile", str(profile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and key in err
+    assert not list(out.glob("trial_*.txt"))
+
+
 def test_simulate_shuffle_requires_reports(tmp_path):
     code = main(["--out", str(tmp_path / "x"), "simulate", "--mode", "shuffle"])
     assert code == 1
@@ -138,11 +162,21 @@ def test_audit_trial_failure_names_trial_and_seed(tmp_path, monkeypatch, capsys,
     assert "trial 2 (seed 9): injected failure" in err
 
 
-def test_threads_clamped_to_cpu_count(tmp_path, capsys):
+def test_threads_accepted_and_ignored(tmp_path, capsys):
     out = tmp_path / "o"
-    assert main(["--threads", "100000", "--out", str(out), "audit", "--study", "1"]) == 0
-    assert "warning: --threads 100000" in capsys.readouterr().err
-    assert json.loads((out / "manifest.json").read_text())["threads"] == os.cpu_count()
+    assert main(
+        ["--threads", "100000", "--out", str(out), "audit", "--study", "2", "--trials", "3"]
+    ) == 0
+    assert "note: --threads 100000 is ignored" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["threads"] == 1
+
+
+def test_audit_study3_rejects_too_few_trials_before_any_trial(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(nullmodels, "generate_classroom", never)
+    assert main(["--out", str(tmp_path / "o"), "audit", "--study", "3", "--trials", "5"]) == 1
 
 
 def test_reproducible_byte_identical_outputs(tmp_path):

@@ -183,16 +183,6 @@ def test_profile_audit_carries_targets_and_realized():
         assert np.isfinite(r.realized_nomination_skew)
 
 
-def test_audits_thread_invariant():
-    rm = datasets.load_benchmark()
-    a, _ = run_shuffle_audit(rm, "scm-fifty", 16, seed=11, threads=1)
-    b, _ = run_shuffle_audit(rm, "scm-fifty", 16, seed=11, threads=8)
-    assert records_to_csv(a) == records_to_csv(b)
-    c, _, _ = run_profile_audit("scm-fifty", 12, seed=11, threads=1)
-    d, _, _ = run_profile_audit("scm-fifty", 12, seed=11, threads=8)
-    assert records_to_csv(c) == records_to_csv(d)
-
-
 def test_records_csv_recomputes_summary():
     records, summary = run_shuffle_audit(
         datasets.load_benchmark(), "scm-fifty", 8, seed=2

@@ -11,6 +11,7 @@ from peeraudit.nullmodels import (
     ClassroomProfile,
     InfeasibleProfileError,
     curveball_randomize,
+    draw_classroom,
     generate_classroom,
     sample_profile,
     skewness,
@@ -134,6 +135,32 @@ def test_generate_infeasible_profile():
     profile = ClassroomProfile(40, 10, 0.9, 0.0, 0.0)
     with pytest.raises(InfeasibleProfileError):
         generate_classroom(profile, seed=0)
+
+
+def test_draw_classroom_resamples_infeasible_profiles():
+    # at 40 children, nomination probabilities above 20.5 / 40 are infeasible
+    bounds = {"n_children": (40, 40), "nomination_probability": (0.3, 0.9)}
+    total = 0
+    for seed in range(20):
+        profile, rm, n_resampled = draw_classroom(np.random.default_rng(seed), bounds)
+        # the same draws, made by hand
+        rng = np.random.default_rng(seed)
+        for _ in range(n_resampled):
+            rejected = sample_profile(bounds, seed=rng)
+            assert rejected.nomination_probability * 40 > 20.5
+        assert sample_profile(bounds, seed=rng) == profile
+        assert np.array_equal(generate_classroom(profile, seed=rng).entries, rm.entries)
+        total += n_resampled
+    assert total > 0
+
+
+def test_draw_classroom_fixed_profile():
+    profile = ClassroomProfile(26, 61, 0.3, 0.5, 0.5)
+    drawn, rm, n_resampled = draw_classroom(np.random.default_rng(4), profile=profile)
+    assert drawn is profile and n_resampled == 0
+    assert np.array_equal(rm.entries, generate_classroom(profile, seed=4).entries)
+    with pytest.raises(InfeasibleProfileError):
+        draw_classroom(np.random.default_rng(4), profile=ClassroomProfile(40, 10, 0.9, 0.0, 0.0))
 
 
 def test_generate_zero_skew_targets_zero():

@@ -105,17 +105,6 @@ def test_similarity_invariant_under_report_permutation():
     assert np.allclose(similarity(cooccurrence(rm)), similarity(cooccurrence(rm_p)))
 
 
-def test_similarity_exclude_pair_entries_variant():
-    rng = np.random.default_rng(3)
-    c = rng.integers(0, 5, size=(7, 7)).astype(float)
-    c = c + c.T
-    s = similarity(c, exclude_pair_entries=True)
-    keep = np.ones(7, dtype=bool)
-    keep[[0, 1]] = False
-    expected = np.corrcoef(c[keep, 0], c[keep, 1])[0, 1]
-    assert s[0, 1] == pytest.approx(expected, abs=1e-12)
-
-
 # --- thresholding ---------------------------------------------------------
 
 

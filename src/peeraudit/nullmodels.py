@@ -24,6 +24,9 @@ PROFILE_BOUNDS = {
 }
 
 MAX_REPORT_SIZE = 20
+# upper bounds on a profile's counts; the recall matrix stays within 10 MB
+MAX_CHILDREN = 1000
+MAX_REPORTS = 10_000
 _CONCENTRATION_RANGE = (0.05, 1e4)
 
 
@@ -42,10 +45,10 @@ class ClassroomProfile:
     group_size_skew: float
 
     def __post_init__(self):
-        if self.n_children < 2:
-            raise ValueError("n_children must be >= 2")
-        if self.n_reports < 1:
-            raise ValueError("n_reports must be >= 1")
+        if not 2 <= self.n_children <= MAX_CHILDREN:
+            raise ValueError(f"n_children must be in [2, {MAX_CHILDREN}], got {self.n_children}")
+        if not 1 <= self.n_reports <= MAX_REPORTS:
+            raise ValueError(f"n_reports must be in [1, {MAX_REPORTS}], got {self.n_reports}")
         if not 0.0 < self.nomination_probability < 1.0:
             raise ValueError("nomination_probability must be in (0, 1)")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .recall import RecallMatrix
 
@@ -96,6 +97,25 @@ def _finish(children: tuple[str, ...], groups: list[set[int]]) -> GroupAssignmen
     return GroupAssignment(children, named)
 
 
+def _check_peer_network(net, children: tuple[str, ...]) -> np.ndarray:
+    """The network as an array, if it is a simple undirected 0/1 graph over
+    the roster; anything else raises ``ValueError``."""
+    net = np.asarray(net)
+    if net.ndim != 2 or net.shape[0] != net.shape[1]:
+        raise ValueError(f"network must be a square matrix, got shape {net.shape}")
+    if net.shape[0] != len(children):
+        raise ValueError(
+            f"network has {net.shape[0]} rows for {len(children)} children"
+        )
+    if not ((net == 0) | (net == 1)).all():
+        raise ValueError("network cells must be 0 or 1")
+    if not (net == net.T).all():
+        raise ValueError("network must be symmetric")
+    if np.diagonal(net).any():
+        raise ValueError("network diagonal must be zero")
+    return net
+
+
 def identify_groups_fifty_percent(
     net: np.ndarray, children: tuple[str, ...]
 ) -> GroupAssignment:
@@ -105,42 +125,70 @@ def identify_groups_fifty_percent(
     group (seeds visited in descending-degree order, ties by roster
     order); candidates join whenever they are connected to at least 50%
     of the current members; finally members that fall below the 50% rule
-    are pruned (lowest within-group degree first). Groups of fewer than
-    2 children are dropped, duplicates merged.
+    are pruned (lowest within-group degree first, ties by roster order).
+    Groups of fewer than 2 children are dropped, duplicates merged.
+
+    ``net`` must be a symmetric 0/1 matrix with a zero diagonal and one
+    row per child, as ``threshold_network`` gives; anything else raises
+    ``ValueError``.
+
+    Vertices are numbered by their place in the visit order, and each
+    vertex's neighbours and the growing group are Python-int bitsets, so
+    a vertex's ties into the group are one popcount. Seed ``(v, u)``
+    starts from the same members, ties and size as ``(u, v)`` and so
+    grows into the same group; only the copy seeded from the earlier of
+    the two in the visit order is grown, because that copy comes first
+    and the later one would be merged into it. The rule, the visit order
+    and the groups returned are those of growing every seed.
     """
-    net = np.asarray(net, dtype=np.int64)
+    net = _check_peer_network(net, children) != 0
     n = net.shape[0]
     deg = net.sum(axis=1)
     order = sorted(range(n), key=lambda i: (-deg[i], i))
-    groups: list[set[int]] = []
-    for u in order:
-        for v in sorted(np.flatnonzero(net[u]), key=lambda i: (-deg[i], i)):
-            v = int(v)
-            member = np.zeros(n, dtype=bool)
-            member[[u, v]] = True
-            links = net[:, u] + net[:, v]  # ties into the current group
+    # row r, bit s: the vertices r-th and s-th in the visit order are tied
+    packed = np.packbits(net[np.ix_(order, order)], axis=1, bitorder="little")
+    nb = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    grown_groups: dict[int, None] = {}  # bitsets in first-seen order
+    for u in range(n):
+        later = nb[u] >> (u + 1) << (u + 1)
+        while later:
+            v = (later & -later).bit_length() - 1
+            later ^= 1 << v
+            members = 1 << u | 1 << v
+            # outsiders tied to the group; no other vertex can ever join
+            reach = (nb[u] | nb[v]) & ~members
             size = 2
             grown = True
             while grown:
+                # one pass over the outsiders in visit order; those that join
+                # count for the rest of the pass
                 grown = False
-                for cand in order:
-                    if not member[cand] and 2 * links[cand] >= size:
-                        member[cand] = True
-                        links = links + net[:, cand]
+                pos = 0
+                while pending := reach >> pos << pos:
+                    cand = (pending & -pending).bit_length() - 1
+                    pos = cand + 1
+                    if 2 * (nb[cand] & members).bit_count() >= size:
+                        members |= 1 << cand
+                        reach = (reach | nb[cand]) & ~members
                         size += 1
                         grown = True
             # prune members no longer tied to half the rest of the group
             while size >= 2:
-                members = np.flatnonzero(member)
-                violators = [m for m in members if 2 * links[m] < size - 1]
+                violators = []
+                rest = members
+                while rest:
+                    m = (rest & -rest).bit_length() - 1
+                    rest ^= 1 << m
+                    links = (nb[m] & members).bit_count()
+                    if 2 * links < size - 1:
+                        violators.append((links, order[m], m))
                 if not violators:
                     break
-                worst = min(violators, key=lambda m: (links[m], m))
-                member[worst] = False
-                links = links - net[:, worst]
+                members ^= 1 << min(violators)[2]
                 size -= 1
             if size >= 2:
-                groups.append(set(np.flatnonzero(member).tolist()))
+                grown_groups.setdefault(members, None)
+    groups = [{order[m] for m in range(n) if g >> m & 1} for g in grown_groups]
     return _finish(children, groups)
 
 
@@ -188,26 +236,11 @@ def identify_groups_profile(
 def identify_groups_components(
     net: np.ndarray, children: tuple[str, ...]
 ) -> GroupAssignment:
-    """Baseline rule: connected components of size >= 2."""
-    net = np.asarray(net)
-    n = net.shape[0]
-    unseen = set(range(n))
-    groups = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in np.flatnonzero(net[v]):
-                w = int(w)
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        unseen -= comp
-        if len(comp) >= 2:
-            groups.append(comp)
-    return _finish(children, groups)
+    """Baseline rule: connected components of size >= 2, in the order of
+    their smallest member."""
+    n_comp, labels = connected_components(np.asarray(net) != 0, directed=False)
+    groups = [set(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)]
+    return _finish(children, [g for g in groups if len(g) >= 2])
 
 
 def membership_statistic(

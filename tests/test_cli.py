@@ -104,6 +104,20 @@ def test_simulate_malformed_profile_is_data_error(tmp_path, capsys, payload, key
     assert not list(out.glob("trial_*.txt"))
 
 
+@pytest.mark.parametrize("key, value", [("n_children", 10**12), ("n_reports", 10_001)])
+def test_simulate_oversize_profile_is_data_error(tmp_path, capsys, monkeypatch, key, value):
+    def never(*args, **kwargs):
+        raise AssertionError("generate_classroom called")
+
+    monkeypatch.setattr(nullmodels, "generate_classroom", never)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({**PROFILE, key: value, "nomination_probability": 1e-11}))
+    assert main(["--out", str(tmp_path / "sim"), "simulate", "--mode", "generate",
+                 "--profile", str(profile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and key in err
+
+
 def test_simulate_shuffle_requires_reports(tmp_path):
     code = main(["--out", str(tmp_path / "x"), "simulate", "--mode", "shuffle"])
     assert code == 1

@@ -122,6 +122,13 @@ def test_profile_validation():
         ClassroomProfile(10, 0, 0.3, 0.0, 0.0)
     with pytest.raises(ValueError):
         ClassroomProfile(10, 10, 1.5, 0.0, 0.0)
+    with pytest.raises(ValueError, match="n_children"):
+        ClassroomProfile(1001, 10, 0.01, 0.0, 0.0)
+    with pytest.raises(ValueError, match="n_reports"):
+        ClassroomProfile(10, 10_001, 0.3, 0.0, 0.0)
+    ClassroomProfile(1000, 10_000, 0.01, 0.0, 0.0)
+    with pytest.raises(ValueError, match="n_children"):
+        sample_profile({"n_children": (10**12, 10**12)}, seed=0)
 
 
 def test_generate_shape_contract():

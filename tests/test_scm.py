@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peeraudit.datasets import load_benchmark
+from peeraudit.nullmodels import draw_classroom
 from peeraudit.recall import RecallMatrix, parse_reports
 from peeraudit.scm import (
     GroupAssignment,
+    _finish,
     cooccurrence,
     identify_groups_components,
     identify_groups_fifty_percent,
@@ -194,6 +197,85 @@ def test_fifty_rule_invariant_holds_post_hoc():
                 assert 2 * within >= len(members) - 1
 
 
+def _fifty_reference(net, children):
+    """The fifty-percent rule as a NumPy loop that grows every seed."""
+    net = np.asarray(net, dtype=np.int64)
+    n = net.shape[0]
+    deg = net.sum(axis=1)
+    order = sorted(range(n), key=lambda i: (-deg[i], i))
+    groups: list[set[int]] = []
+    for u in order:
+        for v in sorted(np.flatnonzero(net[u]), key=lambda i: (-deg[i], i)):
+            v = int(v)
+            member = np.zeros(n, dtype=bool)
+            member[[u, v]] = True
+            links = net[:, u] + net[:, v]  # ties into the current group
+            size = 2
+            grown = True
+            while grown:
+                grown = False
+                for cand in order:
+                    if not member[cand] and 2 * links[cand] >= size:
+                        member[cand] = True
+                        links = links + net[:, cand]
+                        size += 1
+                        grown = True
+            # prune members no longer tied to half the rest of the group
+            while size >= 2:
+                members = np.flatnonzero(member)
+                violators = [m for m in members if 2 * links[m] < size - 1]
+                if not violators:
+                    break
+                worst = min(violators, key=lambda m: (links[m], m))
+                member[worst] = False
+                links = links - net[:, worst]
+                size -= 1
+            if size >= 2:
+                groups.append(set(np.flatnonzero(member).tolist()))
+    return _finish(children, groups)
+
+
+def _random_network(rng, n, density):
+    net = np.triu((rng.random((n, n)) < density).astype(np.int8), 1)
+    return net + net.T
+
+
+def _class_network(rm):
+    return threshold_network(similarity(cooccurrence(rm)))
+
+
+def test_fifty_matches_reference_on_random_networks():
+    rng = np.random.default_rng(11)
+    nets = [np.zeros((9, 9), dtype=np.int8), 1 - np.eye(9, dtype=np.int8)]
+    for _ in range(200):
+        nets.append(_random_network(rng, int(rng.integers(2, 46)), rng.uniform(0.05, 0.9)))
+    for net in nets:
+        names = _names(net.shape[0])
+        assert identify_groups_fifty_percent(net, names) == _fifty_reference(net, names)
+
+
+def test_fifty_matches_reference_on_classroom_networks():
+    rms = [load_benchmark()]
+    rms += [draw_classroom(np.random.default_rng(seed))[1] for seed in range(100)]
+    for rm in rms:
+        net = _class_network(rm)
+        assert identify_groups_fifty_percent(net, rm.children) == _fifty_reference(
+            net, rm.children
+        )
+
+
+@pytest.mark.parametrize("net, message", [
+    (np.zeros((3, 4), dtype=np.int8), "square"),
+    (np.zeros((4, 4), dtype=np.int8), "rows"),
+    (np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]]), "0 or 1"),
+    (np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]]), "symmetric"),
+    (np.array([[1, 1, 0], [1, 0, 1], [0, 1, 0]]), "diagonal"),
+])
+def test_fifty_rejects_non_simple_networks(net, message):
+    with pytest.raises(ValueError, match=message):
+        identify_groups_fifty_percent(net, _names(3))
+
+
 def test_profile_single_pair():
     s = np.zeros((3, 3))
     np.fill_diagonal(s, 1.0)
@@ -225,6 +307,36 @@ def test_components_rule():
         path[i, i + 1] = path[i + 1, i] = 1
     assignment = identify_groups_components(path, _names(5))
     assert assignment.groups == (frozenset(_names(5)),)
+
+
+def _components_reference(net, children):
+    """Components by breadth-first search from the smallest unseen vertex."""
+    n = net.shape[0]
+    unseen = set(range(n))
+    groups = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in np.flatnonzero(net[v]):
+                w = int(w)
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        unseen -= comp
+        if len(comp) >= 2:
+            groups.append(comp)
+    return _finish(children, groups)
+
+
+def test_components_match_search_on_random_networks():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        net = _random_network(rng, int(rng.integers(1, 30)), rng.uniform(0.0, 0.3))
+        names = _names(net.shape[0])
+        assert identify_groups_components(net, names) == _components_reference(net, names)
 
 
 # --- P statistic ----------------------------------------------------------

@@ -98,13 +98,11 @@ def exact_partition_dp(
     # built incrementally from the subset minus its lowest bit
     in2 = np.zeros(full)
     dsum = np.zeros(full)
-    low_links = np.zeros(full)  # links from lowest bit of S to the rest of S
     adj_rows = [int(sum(1 << j for j in np.flatnonzero(adj[i]))) for i in range(n)]
     for s in range(1, full):
         v = (s & -s).bit_length() - 1
         rest = s & (s - 1)
         links = bin(adj_rows[v] & rest).count("1")
-        low_links[s] = links
         in2[s] = in2[rest] + 2.0 * links
         dsum[s] = dsum[rest] + deg[v]
     score = in2 / two_m - (dsum / two_m) ** 2

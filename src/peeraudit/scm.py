@@ -8,6 +8,9 @@ Two published group-identification rules are implemented (a "connected to
 at least half the group" rule and an incremental correlation-profile
 rule), plus a connected-components baseline. The original software's own
 extraction step is undocumented, so these rules can only approximate it.
+The profile rule's groups are the connected components of the thresholded
+network, ordered by salience, so its P equals the components rule's on
+every classroom.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ def similarity(cooc: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(ok)
         s[np.ix_(idx, idx)] = sub
     np.fill_diagonal(s, np.where(ok, 1.0, 0.0))
-    return s
+    # corrcoef's triangles can differ in the last bit; thresholds need s == s.T
+    return np.where(np.tri(n, k=-1, dtype=bool), s.T, s)
 
 
 def threshold_network(sim: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
@@ -192,6 +196,17 @@ def identify_groups_fifty_percent(
     return _finish(children, groups)
 
 
+def _components_in_order(net, children: tuple[str, ...], order) -> GroupAssignment:
+    """Connected components of 2 or more children of a checked peer
+    network, each placed where its first vertex comes in ``order``."""
+    net = _check_peer_network(net, children)
+    _, labels = connected_components(net, directed=False)
+    groups: dict[int, set[int]] = {}
+    for v in order:
+        groups.setdefault(labels[v], set()).add(v)
+    return _finish(children, [g for g in groups.values() if len(g) >= 2])
+
+
 def identify_groups_profile(
     sim: np.ndarray,
     threshold: float,
@@ -202,45 +217,28 @@ def identify_groups_profile(
     some current member reaches the threshold.
 
     Founders are taken in descending-salience order (ties by roster
-    order) among children not yet part of any finished group; children
-    may still join multiple groups. Salience defaults to the thresholded
-    degree when report counts are not supplied.
+    order) among children not yet part of any finished group. Grown to
+    closure, each group is a connected component of
+    ``threshold_network(sim, threshold)``, so groups are disjoint and come
+    in the order of their first member in the founder order. Salience
+    defaults to the thresholded degree when report counts are not
+    supplied. ``sim`` must be symmetric with one row per child and
+    ``threshold`` in [0, 1]; anything else raises ``ValueError``.
     """
-    sim = np.asarray(sim)
-    n = sim.shape[0]
+    net = threshold_network(sim, threshold)
     if salience is None:
-        salience = (sim >= threshold).sum(axis=1)
+        salience = (np.asarray(sim) >= threshold).sum(axis=1)
     salience = np.asarray(salience)
-    order = sorted(range(n), key=lambda i: (-salience[i], i))
-    processed: set[int] = set()
-    groups: list[set[int]] = []
-    for founder in order:
-        if founder in processed:
-            continue
-        group = {founder}
-        grown = True
-        while grown:
-            grown = False
-            for cand in order:
-                if cand in group:
-                    continue
-                if any(sim[cand, member] >= threshold for member in group):
-                    group.add(cand)
-                    grown = True
-        processed |= group
-        if len(group) >= 2:
-            groups.append(group)
-    return _finish(children, groups)
+    order = sorted(range(net.shape[0]), key=lambda i: (-salience[i], i))
+    return _components_in_order(net, children, order)
 
 
 def identify_groups_components(
     net: np.ndarray, children: tuple[str, ...]
 ) -> GroupAssignment:
     """Baseline rule: connected components of size >= 2, in the order of
-    their smallest member."""
-    n_comp, labels = connected_components(np.asarray(net) != 0, directed=False)
-    groups = [set(np.flatnonzero(labels == c).tolist()) for c in range(n_comp)]
-    return _finish(children, [g for g in groups if len(g) >= 2])
+    their smallest member; ``net`` is checked as the fifty rule's is."""
+    return _components_in_order(net, children, range(len(children)))
 
 
 def membership_statistic(

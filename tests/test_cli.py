@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, manifests, exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -156,6 +157,29 @@ def test_audit_study3_writes_regression(tmp_path):
     reg = json.loads((out / "regression.json").read_text())
     assert len(reg["b"]) == 5
     assert reg["predictor_basis"] == "generator profile parameters"
+
+
+def test_audit_profile_records_equal_components_records(tmp_path):
+    rows = {}
+    for method in ("scm-profile", "scm-components"):
+        out = tmp_path / method
+        assert main(
+            ["--out", str(out), "audit", "--study", "2", "--method", method, "--trials", "30"]
+        ) == 0
+        lines = (out / "records.csv").read_text().splitlines()
+        table = list(csv.reader(line for line in lines if not line.startswith("#")))
+        col = table[0].index("method")
+        rows[method] = [row[:col] + row[col + 1 :] for row in table]
+    assert len(rows["scm-profile"]) == 31
+    assert rows["scm-profile"] == rows["scm-components"]
+
+
+def test_audit_fifty_at_a_threshold_the_similarity_straddles(tmp_path):
+    # this classroom's similarity between children 2 and 8 sits on 0.6
+    assert main(
+        ["--seed", "1425", "--out", str(tmp_path / "o"), "audit", "--study", "4c",
+         "--method", "scm-fifty", "--threshold", "0.6", "--trials", "1"]
+    ) == 0
 
 
 @pytest.mark.parametrize("error, code", [(ConvergenceError, 3), (DataError, 2)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peeraudit.datasets import load_benchmark
-from peeraudit.nullmodels import draw_classroom
+from peeraudit.nullmodels import curveball_randomize, draw_classroom
 from peeraudit.recall import RecallMatrix, parse_reports
 from peeraudit.scm import (
     GroupAssignment,
@@ -106,6 +106,22 @@ def test_similarity_invariant_under_report_permutation():
     perm = rng.permutation(15)
     rm_p = RecallMatrix(_names(8), entries[:, perm])
     assert np.allclose(similarity(cooccurrence(rm)), similarity(cooccurrence(rm_p)))
+
+
+def _pipeline_classrooms(n_drawn, n_shuffled):
+    """The benchmark, ``draw_classroom`` seeds 0.. and curveball seeds 0.."""
+    bench = load_benchmark()
+    return (
+        [bench]
+        + [draw_classroom(np.random.default_rng(seed))[1] for seed in range(n_drawn)]
+        + [curveball_randomize(bench, seed=seed) for seed in range(n_shuffled)]
+    )
+
+
+def test_similarity_exactly_symmetric():
+    for rm in _pipeline_classrooms(50, 50):
+        s = similarity(cooccurrence(rm))
+        assert (s == s.T).all()
 
 
 # --- thresholding ---------------------------------------------------------
@@ -270,10 +286,14 @@ def test_fifty_matches_reference_on_classroom_networks():
     (np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]]), "0 or 1"),
     (np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]]), "symmetric"),
     (np.array([[1, 1, 0], [1, 0, 1], [0, 1, 0]]), "diagonal"),
+    (np.array([[0, 2, 0], [0, 0, 0], [0, 0, 7]]), "0 or 1"),
+    (np.zeros((2, 2), dtype=np.int8), "rows"),
 ])
 def test_fifty_rejects_non_simple_networks(net, message):
-    with pytest.raises(ValueError, match=message):
-        identify_groups_fifty_percent(net, _names(3))
+    # the components rule takes the same networks and checks them the same way
+    for rule in (identify_groups_fifty_percent, identify_groups_components):
+        with pytest.raises(ValueError, match=message):
+            rule(net, _names(3))
 
 
 def test_profile_single_pair():
@@ -297,6 +317,72 @@ def test_profile_chain_closure():
     s[1, 2] = s[2, 1] = 0.5
     assignment = identify_groups_profile(s, 0.4, _names(3))
     assert set(assignment.groups) == {frozenset({"v0", "v1", "v2"})}
+
+
+@pytest.mark.parametrize("sim, n_children, threshold, message", [
+    (np.zeros((3, 4)), 3, 0.4, "square"),
+    (np.eye(3), 2, 0.4, "rows"),
+    (np.eye(3), 3, 1.5, "threshold"),
+])
+def test_profile_rejects_bad_input(sim, n_children, threshold, message):
+    with pytest.raises(ValueError, match=message):
+        identify_groups_profile(sim, threshold, _names(n_children))
+
+
+def _profile_reference(sim, threshold, children, salience=None):
+    """The profile rule as a closure loop that grows each founder's group."""
+    sim = np.asarray(sim)
+    n = sim.shape[0]
+    if salience is None:
+        salience = (sim >= threshold).sum(axis=1)
+    salience = np.asarray(salience)
+    order = sorted(range(n), key=lambda i: (-salience[i], i))
+    processed: set[int] = set()
+    groups: list[set[int]] = []
+    for founder in order:
+        if founder in processed:
+            continue
+        group = {founder}
+        grown = True
+        while grown:
+            grown = False
+            for cand in order:
+                if cand in group:
+                    continue
+                if any(sim[cand, member] >= threshold for member in group):
+                    group.add(cand)
+                    grown = True
+        processed |= group
+        if len(group) >= 2:
+            groups.append(group)
+    return _finish(children, groups)
+
+
+def test_profile_matches_reference_on_random_similarities():
+    rng = np.random.default_rng(13)
+    for case in range(300):
+        n = int(rng.integers(1, 41))
+        sim = rng.uniform(-1, 1, size=(n, n))
+        sim = (sim + sim.T) / 2
+        if rng.random() < 0.5:
+            sim = np.round(sim * 1.25, 1).clip(-1, 1)  # values on the threshold grid
+        np.fill_diagonal(sim, 1.0)
+        threshold = [0.0, 1.0, float(rng.integers(0, 11)) / 10, rng.uniform()][case % 4]
+        salience = rng.integers(0, 4, size=n) if case % 3 else None
+        names = _names(n)
+        assert identify_groups_profile(sim, threshold, names, salience) == _profile_reference(
+            sim, threshold, names, salience
+        )
+
+
+def test_profile_matches_reference_on_classroom_similarities():
+    for rm in _pipeline_classrooms(100, 50):
+        cooc = cooccurrence(rm)
+        sim = similarity(cooc)
+        for threshold in (0.2, 0.4, 0.6):
+            assert identify_groups_profile(
+                sim, threshold, rm.children, salience=np.diagonal(cooc)
+            ) == _profile_reference(sim, threshold, rm.children, salience=np.diagonal(cooc))
 
 
 def test_components_rule():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +41,10 @@ class RunRecord:
     """One Monte Carlo trial: its classroom characteristics and its P.
 
     The five characteristic fields are the generator profile for
-    synthetic classrooms, or measured values for shuffled ones; the
-    realized skews are always measured from the matrix actually used.
+    synthetic classrooms, or measured values for shuffled ones. The
+    realized skews of a synthetic classroom are measured from the matrix
+    generated; those of a shuffle are measured once from the input, since
+    a curveball keeps every row and column sum.
     """
 
     trial: int
@@ -174,6 +176,9 @@ def run_shuffle_audit(
     uses seed ``seed + t``."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    # a curveball keeps every row and column sum, so every trial has the
+    # margin fields of ``rm``; each trial sets only its index and its P
+    template = _record(0, method, "shuffle", rm, float("nan"))
 
     def worker(trial: int) -> RunRecord:
         trial_seed = seed + trial
@@ -186,7 +191,7 @@ def run_shuffle_audit(
             restarts=restarts,
             seed=trial_seed,
         )
-        return _record(trial, method, "shuffle", shuffled, p_stat)
+        return replace(template, trial=trial, p_stat=p_stat)
 
     records = _run_trials(worker, n_trials, seed)
     return records, summarize(records)

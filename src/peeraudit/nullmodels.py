@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from .recall import DataError, RecallMatrix
 
@@ -60,23 +60,42 @@ def as_rng(seed) -> np.random.Generator:
 
 
 def skewness(x) -> float:
-    """Adjusted Fisher-Pearson sample skewness (bias-corrected g1)."""
+    """Adjusted Fisher-Pearson sample skewness (bias-corrected g1).
+
+    The moments and the correction are evaluated as ``scipy.stats.skew(x,
+    bias=False)`` evaluates them, without importing ``scipy.stats``.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.size < 3:
         raise ValueError("skewness needs at least 3 values")
     if np.ptp(x) == 0:
         raise ValueError("skewness undefined for a constant vector")
-    return float(stats.skew(x, bias=False))
+    n = x.size
+    d = x - x.mean()
+    d2 = d * d
+    m2 = d2.mean()
+    m3 = (d2 * d).mean()
+    return float(((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5)
 
 
 def curveball_randomize(
     rm: RecallMatrix, n_trades: int | None = None, seed=None
 ) -> RecallMatrix:
-    """Fixed-margin shuffle by curveball trades.
+    """Fixed-margin shuffle by curveball trades (Strona et al. 2014).
 
     Each trade picks two rows and exchanges a random subset of the column
     indices held by exactly one of them, keeping both row sums (and all
     column sums) intact. Default trade count is 5x the number of rows.
+
+    Rows are Python-int bitsets (bit c: column c). Each trade makes the
+    same generator calls in the same order: ``rng.choice(n, size=2,
+    replace=False)`` for rows i and j, then, only when each row holds a
+    column the other lacks, ``rng.shuffle`` of the bits of the columns
+    held by exactly one of them, lowest column first. ``shuffle`` draws
+    the same for a list as for an array of the same length, so this is
+    the shuffle of the sorted column indices. The first
+    ``popcount(a & ~b)`` shuffled bits go to row i and the rest to row j,
+    so a seed gives one matrix and leaves the generator in one state.
     """
     rng = as_rng(seed)
     n, m = rm.entries.shape
@@ -86,24 +105,32 @@ def curveball_randomize(
         raise ValueError("n_trades must be >= 0")
     if n < 2 or n_trades == 0:
         return RecallMatrix(rm.children, rm.entries.copy())
-    rows = [set(np.flatnonzero(rm.entries[i]).tolist()) for i in range(n)]
+    n_bytes = (m + 7) // 8
+    packed = np.packbits(rm.entries, axis=1, bitorder="little")
+    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
     for _ in range(n_trades):
-        i, j = rng.choice(n, size=2, replace=False)
+        i, j = rng.choice(n, size=2, replace=False).tolist()
         a, b = rows[i], rows[j]
-        a_only = a - b
-        b_only = b - a
-        if not a_only or not b_only:
+        a_only = a & ~b
+        if not a_only or not b & ~a:
             continue
-        pool = np.array(sorted(a_only | b_only))
+        either = a ^ b
+        pool = []
+        rest = either
+        while rest:
+            low = rest & -rest
+            pool.append(low)
+            rest ^= low
         rng.shuffle(pool)
-        new_a_only = set(pool[: len(a_only)].tolist())
+        new_a_only = sum(pool[: a_only.bit_count()])
         shared = a & b
         rows[i] = shared | new_a_only
-        rows[j] = shared | (set(pool.tolist()) - new_a_only)
-    entries = np.zeros((n, m), dtype=np.int8)
-    for i, cols in enumerate(rows):
-        entries[i, sorted(cols)] = 1
-    return RecallMatrix(rm.children, entries)
+        rows[j] = shared | (either ^ new_a_only)
+    packed = np.frombuffer(
+        b"".join(r.to_bytes(n_bytes, "little") for r in rows), dtype=np.uint8
+    ).reshape(n, n_bytes)
+    entries = np.unpackbits(packed, axis=1, count=m, bitorder="little")
+    return RecallMatrix(rm.children, entries.view(np.int8))
 
 
 def _beta_skew(mean: float, conc: float) -> float:

@@ -86,18 +86,8 @@ def threshold_network(sim: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> 
     return net
 
 
-def _as_index_groups(groups: list[set[int]]) -> list[set[int]]:
-    """Deduplicate, preserving first-seen order."""
-    seen = {}
-    for g in groups:
-        seen.setdefault(frozenset(g), None)
-    return [set(g) for g in seen]
-
-
 def _finish(children: tuple[str, ...], groups: list[set[int]]) -> GroupAssignment:
-    named = tuple(
-        frozenset(children[i] for i in g) for g in _as_index_groups(groups)
-    )
+    named = tuple(frozenset(children[i] for i in g) for g in groups)
     return GroupAssignment(children, named)
 
 
@@ -199,7 +189,6 @@ def identify_groups_fifty_percent(
 def _components_in_order(net, children: tuple[str, ...], order) -> GroupAssignment:
     """Connected components of 2 or more children of a checked peer
     network, each placed where its first vertex comes in ``order``."""
-    net = _check_peer_network(net, children)
     _, labels = connected_components(net, directed=False)
     groups: dict[int, set[int]] = {}
     for v in order:
@@ -222,14 +211,23 @@ def identify_groups_profile(
     ``threshold_network(sim, threshold)``, so groups are disjoint and come
     in the order of their first member in the founder order. Salience
     defaults to the thresholded degree when report counts are not
-    supplied. ``sim`` must be symmetric with one row per child and
-    ``threshold`` in [0, 1]; anything else raises ``ValueError``.
+    supplied. ``sim`` must be symmetric with one row per child,
+    ``threshold`` in [0, 1] and ``salience`` one finite real number per
+    child; anything else raises ``ValueError``.
     """
-    net = threshold_network(sim, threshold)
+    net = _check_peer_network(threshold_network(sim, threshold), children)
     if salience is None:
         salience = (np.asarray(sim) >= threshold).sum(axis=1)
     salience = np.asarray(salience)
-    order = sorted(range(net.shape[0]), key=lambda i: (-salience[i], i))
+    if salience.shape != (len(children),) or salience.dtype.kind not in "iuf":
+        raise ValueError(
+            f"salience must be {len(children)} real numbers, one per child, "
+            f"got shape {salience.shape} of dtype {salience.dtype}"
+        )
+    salience = salience.astype(np.float64)  # unsigned integers do not negate
+    if not np.isfinite(salience).all():
+        raise ValueError("salience must be finite")
+    order = sorted(range(len(children)), key=lambda i: (-salience[i], i))
     return _components_in_order(net, children, order)
 
 
@@ -238,6 +236,7 @@ def identify_groups_components(
 ) -> GroupAssignment:
     """Baseline rule: connected components of size >= 2, in the order of
     their smallest member; ``net`` is checked as the fifty rule's is."""
+    net = _check_peer_network(net, children)
     return _components_in_order(net, children, range(len(children)))
 
 

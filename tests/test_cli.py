@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import peeraudit
 from peeraudit import nullmodels
 from peeraudit.backbone import ConvergenceError
 from peeraudit.cli import main
@@ -259,3 +264,17 @@ def test_env_var_override(tmp_path, reports_file, monkeypatch):
     monkeypatch.setenv("PEERAUDIT_OUT", str(out))
     assert main(["scm", str(reports_file)]) == 0
     assert (out / "groups.json").exists()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats takes about half a second to import and nothing needs it
+    path = [str(pathlib.Path(peeraudit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "import sys, peeraudit.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    assert loaded == "[]"

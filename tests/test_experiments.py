@@ -16,6 +16,7 @@ from peeraudit.experiments import (
     run_shuffle_audit,
     summarize,
 )
+from peeraudit.nullmodels import curveball_randomize
 from peeraudit.recall import parse_reports
 from peeraudit.scm import GroupAssignment
 
@@ -171,6 +172,18 @@ def test_shuffle_audit_record_contract():
     assert all(r.source == "shuffle" for r in records)
     assert all(r.n_children in (25, 26) for r in records)
     assert summary.n_trials == 5
+
+
+def test_shuffle_audit_records_equal_per_trial_records():
+    # the margin fields come from one record measured on the input; each
+    # must equal the record measured on that trial's own shuffle
+    bench = datasets.load_benchmark()
+    records, _ = run_shuffle_audit(bench, "scm-fifty", 20, seed=4)
+    assert len(records) == 20
+    for t, record in enumerate(records):
+        shuffled = curveball_randomize(bench, seed=4 + t)
+        _, p_stat = run_pipeline(shuffled, "scm-fifty", seed=4 + t)
+        assert record == experiments._record(t, "scm-fifty", "shuffle", shuffled, p_stat)
 
 
 def test_profile_audit_carries_targets_and_realized():

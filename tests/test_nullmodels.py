@@ -1,15 +1,19 @@
 """Fixed-margin shuffles and the synthetic classroom generator."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import (
     PROFILE_BOUNDS,
     ClassroomProfile,
     InfeasibleProfileError,
+    as_rng,
     curveball_randomize,
     draw_classroom,
     generate_classroom,
@@ -54,6 +58,23 @@ def test_skewness_errors():
         skewness([1, 2])
     with pytest.raises(ValueError):
         skewness([3, 3, 3])
+
+
+def test_skewness_matches_scipy_on_classroom_margins():
+    bench = load_benchmark()
+    rms = [draw_classroom(np.random.default_rng(seed))[1] for seed in range(300)]
+    rms += [curveball_randomize(bench, seed=seed) for seed in range(50)]
+    checked = 0
+    for rm in rms:
+        for margin in (rm.entries.sum(axis=1), rm.entries.sum(axis=0)):
+            if np.ptp(margin) == 0:
+                continue
+            expected = float(stats.skew(margin.astype(np.float64), bias=False))
+            got = skewness(margin)
+            assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+            assert f"{got:.10g}" == f"{expected:.10g}"
+            checked += 1
+    assert checked > 600
 
 
 @settings(max_examples=30, deadline=None)
@@ -102,6 +123,120 @@ def test_curveball_2x2_ensemble_balance():
         out = curveball_randomize(rm, seed=seed)
         hits += int(out.entries[0, 0] == 1)
     assert abs(hits / trials - 0.5) < 0.05
+
+
+def _curveball_reference(rm, n_trades=None, seed=None):
+    """Curveball trades on Python sets of column indices."""
+    rng = as_rng(seed)
+    n, m = rm.entries.shape
+    if n_trades is None:
+        n_trades = 5 * n
+    if n_trades < 0:
+        raise ValueError("n_trades must be >= 0")
+    if n < 2 or n_trades == 0:
+        return RecallMatrix(rm.children, rm.entries.copy())
+    rows = [set(np.flatnonzero(rm.entries[i]).tolist()) for i in range(n)]
+    for _ in range(n_trades):
+        i, j = rng.choice(n, size=2, replace=False)
+        a, b = rows[i], rows[j]
+        a_only = a - b
+        b_only = b - a
+        if not a_only or not b_only:
+            continue
+        pool = np.array(sorted(a_only | b_only))
+        rng.shuffle(pool)
+        new_a_only = set(pool[: len(a_only)].tolist())
+        shared = a & b
+        rows[i] = shared | new_a_only
+        rows[j] = shared | (set(pool.tolist()) - new_a_only)
+    entries = np.zeros((n, m), dtype=np.int8)
+    for i, cols in enumerate(rows):
+        entries[i, sorted(cols)] = 1
+    return RecallMatrix(rm.children, entries)
+
+
+def _assert_curveball_matches_reference(rm, n_trades, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = curveball_randomize(rm, n_trades=n_trades, seed=rng).entries
+    expected = _curveball_reference(rm, n_trades=n_trades, seed=ref_rng).entries
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    # the same generator calls were made: the next draw agrees
+    assert rng.random() == ref_rng.random()
+
+
+def test_curveball_matches_reference_on_classrooms():
+    bench = load_benchmark()
+    for seed in range(100):
+        _assert_curveball_matches_reference(bench, None, seed)
+    for seed in range(40):
+        rm = draw_classroom(np.random.default_rng(seed))[1]
+        for trial in range(2):
+            _assert_curveball_matches_reference(rm, None, 1000 * seed + trial)
+
+
+def test_curveball_matches_reference_on_random_matrices():
+    rng = np.random.default_rng(21)
+    for case in range(200):
+        n = int(rng.integers(2, 21))
+        m = int(rng.integers(65, 131)) if case % 4 == 0 else int(rng.integers(2, 61))
+        entries = (rng.random((n, m)) < rng.uniform(0.05, 0.95)).astype(np.int8)
+        if case % 3 == 0:
+            entries[0] = 1  # a child named in every report
+        if case % 5 == 0:
+            entries[n - 1] = 0  # a child never named
+        # every report names somebody
+        entries[0, entries.sum(axis=0) == 0] = 1
+        rm = RecallMatrix(tuple(f"v{i}" for i in range(n)), entries)
+        for n_trades in (None, 0, 1):
+            _assert_curveball_matches_reference(rm, n_trades, case)
+
+
+def test_shuffle_draws_the_same_for_a_list_as_for_an_array():
+    # curveball_randomize shuffles a list of column bits where the
+    # reference shuffles an array of column indices
+    for n in range(100):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        items = list(range(n))
+        ref_items = np.arange(n, dtype=np.int64)
+        rng.shuffle(items)
+        ref_rng.shuffle(ref_items)
+        assert items == ref_items.tolist()
+        assert rng.random() == ref_rng.random()
+
+
+def _all_matrices(row_sums, col_sums):
+    """Every 0/1 matrix with the given margins, in a fixed order."""
+    m = len(col_sums)
+    choices = [itertools.combinations(range(m), r) for r in row_sums]
+    out = []
+    for rows in itertools.product(*choices):
+        entries = np.zeros((len(row_sums), m), dtype=np.int8)
+        for i, cols in enumerate(rows):
+            entries[i, list(cols)] = 1
+        if (entries.sum(axis=0) == col_sums).all():
+            out.append(entries)
+    return out
+
+
+@pytest.mark.parametrize("row_sums, col_sums, n_matrices", [
+    ((2, 2, 1, 1), (2, 2, 1, 1), 34),
+    ((2, 1, 1), (1, 1, 1, 1), 12),
+    ((2, 2, 2), (2, 1, 1, 1, 1), 36),
+    ((3, 2, 1, 0), (2, 2, 1, 1), 8),  # trades with the empty row change nothing
+])
+def test_curveball_uniform_over_margin_class(row_sums, col_sums, n_matrices):
+    # Every matrix with these margins is equally likely after the default
+    # 5n trades from one fixed start: 200 shuffles per matrix, one seed
+    # each, and a chi-square test of the visit counts.
+    matrices = _all_matrices(row_sums, col_sums)
+    assert len(matrices) == n_matrices
+    index = {e.tobytes(): k for k, e in enumerate(matrices)}
+    start = RecallMatrix(tuple(f"c{i}" for i in range(len(row_sums))), matrices[0])
+    counts = np.zeros(n_matrices, dtype=np.int64)
+    for seed in range(200 * n_matrices):
+        counts[index[curveball_randomize(start, seed=seed).entries.tobytes()]] += 1
+    assert stats.chisquare(counts).pvalue > 1e-3
 
 
 def test_curveball_deterministic_per_seed():

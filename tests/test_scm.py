@@ -219,7 +219,7 @@ def _fifty_reference(net, children):
     n = net.shape[0]
     deg = net.sum(axis=1)
     order = sorted(range(n), key=lambda i: (-deg[i], i))
-    groups: list[set[int]] = []
+    groups: dict[frozenset[int], None] = {}  # duplicates merged, first-seen order
     for u in order:
         for v in sorted(np.flatnonzero(net[u]), key=lambda i: (-deg[i], i)):
             v = int(v)
@@ -247,8 +247,8 @@ def _fifty_reference(net, children):
                 links = links - net[:, worst]
                 size -= 1
             if size >= 2:
-                groups.append(set(np.flatnonzero(member).tolist()))
-    return _finish(children, groups)
+                groups.setdefault(frozenset(np.flatnonzero(member).tolist()), None)
+    return _finish(children, list(groups))
 
 
 def _random_network(rng, n, density):
@@ -327,6 +327,29 @@ def test_profile_chain_closure():
 def test_profile_rejects_bad_input(sim, n_children, threshold, message):
     with pytest.raises(ValueError, match=message):
         identify_groups_profile(sim, threshold, _names(n_children))
+
+
+@pytest.mark.parametrize("salience, message", [
+    ([1, 2, 3, 4], "one per child"),
+    ([1], "one per child"),
+    ([1, float("nan"), 2], "finite"),
+    ([[1, 2, 3]], "one per child"),
+    (["a", "b", "c"], "real"),
+    ([1, 2j, 3], "real"),
+    ([True, False, True], "real"),
+])
+def test_profile_rejects_bad_salience(salience, message):
+    with pytest.raises(ValueError, match=message):
+        identify_groups_profile(np.full((3, 3), 0.5), 0.4, _names(3), salience=salience)
+
+
+def test_profile_orders_unsigned_salience_as_numbers():
+    sim = np.kron(np.eye(2), np.ones((2, 2)))  # two pairs: {v0, v1} and {v2, v3}
+    for dtype in (np.uint8, np.int64, np.float64):
+        groups = identify_groups_profile(
+            sim, 0.4, _names(4), salience=np.array([0, 0, 5, 5], dtype=dtype)
+        ).groups
+        assert groups == (frozenset({"v2", "v3"}), frozenset({"v0", "v1"}))
 
 
 def _profile_reference(sim, threshold, children, salience=None):

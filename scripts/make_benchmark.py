@@ -1,10 +1,9 @@
 #!/usr/bin/env python
-"""Regenerate the committed planted-structure benchmark fixture."""
+"""Regenerate the committed planted-structure benchmark reports."""
 
-import json
 import pathlib
 
-from peeraudit.datasets import generate_planted_classroom, planted_blocks
+from peeraudit.datasets import generate_planted_classroom
 from peeraudit.recall import to_report_lines
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "peeraudit" / "data"
@@ -12,13 +11,7 @@ DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "peeraudit" / "
 
 def main(seed: int = 11) -> None:
     rm = generate_planted_classroom(seed=seed)
-    blocks, allowed = planted_blocks()
     (DATA_DIR / "benchmark_reports.txt").write_text(to_report_lines(rm))
-    payload = {
-        "blocks": [sorted(b) for b in blocks],
-        "allowed": {c: sorted(v) for c, v in sorted(allowed.items())},
-    }
-    (DATA_DIR / "benchmark_blocks.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {rm.n_children} children x {rm.n_reports} reports (seed={seed})")
 
 

@@ -1,9 +1,10 @@
 """The numerical kernels: Poisson-binomial upper tails and the exact
 modularity DP.
 
-Both tail kernels share one survival recursion (Hong, CSDA 2013, for
-background): with S_k(t) = P(X_k >= t) for X_k the sum of the first k
-Bernoulli trials,
+The dyad p-values and ``backbone.poisson_binomial_upper_tail`` run one
+survival recursion, ``_upper_tails`` (Hong, CSDA 2013, for background):
+with S_k(t) = P(X_k >= t) for X_k the sum of the first k Bernoulli
+trials,
 
     S_k(t) = p_k S_{k-1}(t-1) + (1 - p_k) S_{k-1}(t),  S_k(0) = 1.
 
@@ -41,15 +42,6 @@ def _upper_tails(probs: np.ndarray, observed: np.ndarray) -> np.ndarray:
         surv[1 : hi + 1] *= complement[k]
         surv[1 : hi + 1] += shifted[:hi]
     return np.minimum(surv[observed, np.arange(d)], 1.0)
-
-
-def pb_upper_tail(probs: np.ndarray, observed: int) -> float:
-    """P(X >= observed) for X a sum of independent Bernoulli(probs) trials.
-
-    Exact, O(m * observed).
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    return float(_upper_tails(probs[:, None], np.array([observed]))[0])
 
 
 def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
+from ._kernels import _upper_tails
 from ._kernels import dyad_pvalues as _dyad_pvalues
-from ._kernels import pb_upper_tail as _pb_upper_tail
 from .recall import RecallMatrix
 from .scm import cooccurrence
 
@@ -34,14 +34,13 @@ class BackboneResult:
     correction: str
 
 
-def fit_bicm(
-    r: np.ndarray, tol: float = MARGIN_TOL, max_iter: int = MAX_FIT_ITER
-) -> np.ndarray:
+def fit_bicm(r: np.ndarray) -> np.ndarray:
     """Cell probabilities p_ij = x_i y_j / (1 + x_i y_j) matching both margins.
 
     Saturated rows/columns (all ones or all zeros relative to the active
     submatrix) are peeled off as fixed cells; the rest is solved by
-    alternating fixed-point iteration on the multipliers.
+    alternating fixed-point iteration on the multipliers, for at most
+    ``MAX_FIT_ITER`` steps, until every margin is within ``MARGIN_TOL``.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.size == 0 or not np.isin(r, (0.0, 1.0)).all():
@@ -90,7 +89,7 @@ def fit_bicm(
         y = ct / np.sqrt(total)
         err = np.inf
         checkpoint = np.inf
-        for it in range(max_iter):
+        for it in range(MAX_FIT_ITER):
             denom = 1.0 + np.outer(x, y)
             x = rt / (y / denom).sum(axis=1)
             denom = 1.0 + np.outer(x, y)
@@ -101,13 +100,13 @@ def fit_bicm(
                 np.abs(probs.sum(axis=1) - rt).max(),
                 np.abs(probs.sum(axis=0) - ct).max(),
             )
-            if err < tol:
+            if err < MARGIN_TOL:
                 break
             if it % 100 == 99:  # stalled iteration: switch to Newton
                 if err > 0.5 * checkpoint:
                     break
                 checkpoint = err
-        if err >= tol:
+        if err >= MARGIN_TOL:
             x, y = _newton_multipliers(rt, ct, x, y)
             probs = np.outer(x, y)
             probs /= 1.0 + probs
@@ -115,14 +114,14 @@ def fit_bicm(
                 np.abs(probs.sum(axis=1) - rt).max(),
                 np.abs(probs.sum(axis=0) - ct).max(),
             )
-            if err >= tol:
+            if err >= MARGIN_TOL:
                 raise ConvergenceError(f"margin residual {err:.3e}")
         p[np.ix_(ri, ci)] = probs
     resid = max(
         np.abs(p.sum(axis=1) - r.sum(axis=1)).max(),
         np.abs(p.sum(axis=0) - r.sum(axis=0)).max(),
     )
-    if resid > 10 * tol:
+    if resid > 10 * MARGIN_TOL:
         raise ConvergenceError(f"margin residual {resid:.3e} after peeling")
     return p
 
@@ -172,7 +171,7 @@ def poisson_binomial_upper_tail(probs, observed: int) -> float:
         raise ValueError("probs must be a vector of probabilities")
     if not 0 <= observed <= probs.size:
         raise ValueError(f"observed must be in [0, {probs.size}]")
-    return float(_pb_upper_tail(probs, int(observed)))
+    return float(_upper_tails(probs[:, None], np.array([int(observed)]))[0])
 
 
 def holm_adjust(pvals: np.ndarray) -> np.ndarray:

@@ -121,21 +121,15 @@ def scm_cmd(ctx, reports, threshold, rule, out_network, out_groups):
 @click.argument("reports", type=click.Path(exists=True, dir_okay=False))
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--correction", type=click.Choice(["none", "holm"]), default="none", show_default=True)
-@click.option("--restarts", type=int, default=communities.DEFAULT_RESTARTS, show_default=True)
-@click.option("--exact-max-n", type=click.IntRange(1, communities.EXACT_MAX_N_LIMIT),
-              default=communities.EXACT_MAX_N, show_default=True,
-              help="Largest connected component solved exactly; a larger one sends the whole network to Louvain.")
 @click.option("--out-pvalues", default="pvalues.csv", show_default=True)
 @click.option("--out-network", default="network.csv", show_default=True)
 @click.option("--out-groups", default="groups.json", show_default=True)
 @click.pass_context
-def becd_cmd(ctx, reports, alpha, correction, restarts, exact_max_n,
-             out_pvalues, out_network, out_groups):
+def becd_cmd(ctx, reports, alpha, correction, out_pvalues, out_network, out_groups):
     """Backbone extraction plus community detection on a report-list file."""
     rm = load_reports(reports)
     backbone, _, assignment = communities.becd_groups(
-        rm, alpha=alpha, restarts=restarts, seed=ctx.obj["seed"],
-        correction=correction, exact_max_n=exact_max_n,
+        rm, alpha=alpha, seed=ctx.obj["seed"], correction=correction
     )
     p_stat = scm.membership_statistic(assignment, rm.n_children)
     out = _out_dir(ctx)
@@ -145,7 +139,6 @@ def becd_cmd(ctx, reports, alpha, correction, restarts, exact_max_n,
     _write_manifest(
         ctx, out, "becd",
         {"reports": str(reports), "alpha": alpha, "correction": correction,
-         "restarts": restarts, "exact_max_n": exact_max_n,
          "out_pvalues": out_pvalues, "out_network": out_network,
          "out_groups": out_groups},
     )
@@ -225,9 +218,8 @@ def simulate_cmd(ctx, mode, reports, profile_path, trials):
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--threshold", type=float, default=scm.DEFAULT_THRESHOLD, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--restarts", type=int, default=communities.DEFAULT_RESTARTS, show_default=True)
 @click.pass_context
-def audit_cmd(ctx, study, method, trials, threshold, alpha, restarts):
+def audit_cmd(ctx, study, method, trials, threshold, alpha):
     """Reproduce one of the four studies on the committed benchmark."""
     method = method or STUDY_DEFAULT_METHOD[study]
     if study == "3" and trials < experiments.MIN_REGRESSION_RECORDS:
@@ -236,7 +228,7 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha, restarts):
         )
     seed = ctx.obj["seed"]
     out = _out_dir(ctx)
-    kwargs = dict(threshold=threshold, alpha=alpha, restarts=restarts)
+    kwargs = dict(threshold=threshold, alpha=alpha)
     extra: dict = {"study": study, "method": method}
     regression = None
     if study in ("1", "4a"):
@@ -282,7 +274,7 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha, restarts):
     _write_manifest(
         ctx, out, "audit",
         {"study": study, "method": method, "trials": trials,
-         "threshold": threshold, "alpha": alpha, "restarts": restarts},
+         "threshold": threshold, "alpha": alpha},
     )
     click.echo(
         f"study {study} ({method}): frac_positive={summary.frac_positive:.4g} "

@@ -5,8 +5,9 @@ components (Brandes et al., *On Modularity Clustering*, IEEE TKDE 2008).
 So each connected component is solved to its exact optimum on its own,
 by a subset dynamic program scored against the whole network's 2m, and
 isolated vertices are singletons. Only when some component has more than
-``exact_max_n`` vertices (12 by default) does the whole network go to
-multi-restart greedy agglomeration (Louvain) with a final single-vertex
+``EXACT_MAX_N`` vertices (the DP's O(3^n) time about triples with each
+vertex) does the whole network go to ``DEFAULT_RESTARTS`` seeded runs of
+greedy agglomeration (Louvain), each with a final single-vertex
 refinement sweep. Also composes the full backbone-then-communities
 pipeline.
 """
@@ -24,8 +25,6 @@ from .scm import GroupAssignment
 
 DEFAULT_RESTARTS = 50
 EXACT_MAX_N = 12
-# the subset DP holds several arrays of 2^n floats (8 MiB each at n = 20)
-EXACT_MAX_N_LIMIT = 20
 
 
 def modularity(net: np.ndarray, labels: np.ndarray) -> float:
@@ -111,12 +110,12 @@ def _louvain(net: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return flat
 
 
-def _exact_by_component(net: np.ndarray, exact_max_n: int):
+def _exact_by_component(net: np.ndarray):
     """Exact optimum as the union of per-component optima, scored against
-    the whole network's 2m; None if a component exceeds ``exact_max_n``."""
+    the whole network's 2m; None if a component exceeds ``EXACT_MAX_N``."""
     n_comp, comp = connected_components(net != 0, directed=False)
     sizes = np.bincount(comp, minlength=n_comp)
-    if sizes.max(initial=0) > exact_max_n:
+    if sizes.max(initial=0) > EXACT_MAX_N:
         return None
     two_m = float(net.sum())
     labels = np.arange(net.shape[0])  # isolated vertices stay singletons
@@ -133,34 +132,13 @@ def _exact_by_component(net: np.ndarray, exact_max_n: int):
     return canonical_labels(labels), q
 
 
-def maximize_modularity(
-    net: np.ndarray,
-    restarts: int = DEFAULT_RESTARTS,
-    seed=None,
-    exact_max_n: int = EXACT_MAX_N,
-    force_heuristic: bool = False,
-) -> tuple[np.ndarray, float]:
-    """Best-Q partition of a binary undirected network; returns (labels, Q).
+def _louvain_best(net: np.ndarray, restarts: int, seed) -> tuple[np.ndarray, float]:
+    """Best of ``restarts`` refined Louvain runs on the whole network.
 
-    When every connected component has at most ``exact_max_n`` vertices
-    (1 to ``EXACT_MAX_N_LIMIT``), the result is the exact optimum, found
-    component by component, and ``restarts`` and ``seed`` are unused;
-    the DP's fixed subset order breaks ties between equal-Q partitions.
-    Otherwise, or with ``force_heuristic``, the whole network goes through
-    ``restarts`` Louvain runs; ties between equal-Q runs resolve to the
-    lexicographically smallest canonical labelling, so results are
-    reproducible. Labels are canonical (numbered by first appearance).
+    Ties between equal-Q runs resolve to the lexicographically smallest
+    canonical labelling, so results are reproducible for a seed.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if not 1 <= exact_max_n <= EXACT_MAX_N_LIMIT:
-        raise ValueError(f"exact_max_n must be in [1, {EXACT_MAX_N_LIMIT}]")
-    net = np.asarray(net)
     n = net.shape[0]
-    if not force_heuristic:
-        exact = _exact_by_component(net, exact_max_n)
-        if exact is not None:
-            return exact
     master = as_rng(seed)
     base = master.integers(0, 2**63 - 1)
     best_labels = None
@@ -181,6 +159,23 @@ def maximize_modularity(
     return best_labels, float(best_q)
 
 
+def maximize_modularity(net: np.ndarray, seed=None) -> tuple[np.ndarray, float]:
+    """Best-Q partition of a binary undirected network; returns (labels, Q).
+
+    When every connected component has at most ``EXACT_MAX_N`` vertices,
+    the result is the exact optimum, found component by component, and
+    ``seed`` is unused; the DP's fixed subset order breaks ties between
+    equal-Q partitions. Otherwise the whole network goes through
+    ``DEFAULT_RESTARTS`` seeded Louvain runs. Labels are canonical
+    (numbered by first appearance).
+    """
+    net = np.asarray(net)
+    exact = _exact_by_component(net)
+    if exact is not None:
+        return exact
+    return _louvain_best(net, DEFAULT_RESTARTS, seed)
+
+
 def partition_to_groups(
     labels: np.ndarray, children: tuple[str, ...]
 ) -> GroupAssignment:
@@ -196,14 +191,10 @@ def partition_to_groups(
 def becd_groups(
     rm: RecallMatrix,
     alpha: float = 0.05,
-    restarts: int = DEFAULT_RESTARTS,
     seed=None,
     correction: str = "none",
-    exact_max_n: int = EXACT_MAX_N,
 ) -> tuple[BackboneResult, np.ndarray, GroupAssignment]:
     """Backbone extraction followed by modularity maximization."""
     result = extract_backbone(rm, alpha=alpha, correction=correction)
-    labels, _ = maximize_modularity(
-        result.network, restarts=restarts, seed=seed, exact_max_n=exact_max_n
-    )
+    labels, _ = maximize_modularity(result.network, seed=seed)
     return result, labels, partition_to_groups(labels, rm.children)

@@ -4,12 +4,13 @@ A committed surrogate classroom with 26 children, 61 reports, and 5
 planted blocks, plus two deliberately ambiguous children: a bridge child
 reported with two different girl blocks (never both at once), and a
 low-salience boy named in only 3 reports split across two boy blocks.
-Shipped as package data; regenerate with scripts/make_benchmark.py.
+The reports are shipped as package data, which pins them against changes
+in NumPy's random streams; regenerate them with scripts/make_benchmark.py.
+The planted blocks are defined here.
 """
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 import numpy as np
@@ -90,9 +91,5 @@ def load_benchmark() -> RecallMatrix:
 
 
 def load_benchmark_blocks() -> tuple[list[set[str]], dict[str, set[int]]]:
-    raw = json.loads(
-        resources.files("peeraudit.data").joinpath("benchmark_blocks.json").read_text()
-    )
-    blocks = [set(b) for b in raw["blocks"]]
-    allowed = {c: set(v) for c, v in raw["allowed"].items()}
-    return blocks, allowed
+    """The benchmark's planted blocks, as ``planted_blocks`` gives them."""
+    return planted_blocks()

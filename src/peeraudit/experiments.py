@@ -85,7 +85,6 @@ def run_pipeline(
     method: str,
     threshold: float = scm.DEFAULT_THRESHOLD,
     alpha: float = 0.05,
-    restarts: int = communities.DEFAULT_RESTARTS,
     seed=None,
 ) -> tuple[scm.GroupAssignment, float]:
     """End-to-end run of one pipeline; returns (groups, P).
@@ -95,9 +94,7 @@ def run_pipeline(
     """
     rm, _ = drop_never_named(rm)
     if method == "becd":
-        _, _, assignment = communities.becd_groups(
-            rm, alpha=alpha, restarts=restarts, seed=seed
-        )
+        _, _, assignment = communities.becd_groups(rm, alpha=alpha, seed=seed)
     elif method.startswith("scm-"):
         _, assignment = scm.scm_groups(rm, threshold=threshold, rule=method[4:])
     else:
@@ -167,10 +164,8 @@ def run_shuffle_audit(
     method: str,
     n_trials: int,
     seed: int = 0,
-    n_trades: int | None = None,
     threshold: float = scm.DEFAULT_THRESHOLD,
     alpha: float = 0.05,
-    restarts: int = communities.DEFAULT_RESTARTS,
 ) -> tuple[list[RunRecord], AuditSummary]:
     """Fixed-margin shuffles of ``rm``, one pipeline run each; trial t
     uses seed ``seed + t``."""
@@ -182,14 +177,9 @@ def run_shuffle_audit(
 
     def worker(trial: int) -> RunRecord:
         trial_seed = seed + trial
-        shuffled = nullmodels.curveball_randomize(rm, n_trades=n_trades, seed=trial_seed)
+        shuffled = nullmodels.curveball_randomize(rm, seed=trial_seed)
         _, p_stat = run_pipeline(
-            shuffled,
-            method,
-            threshold=threshold,
-            alpha=alpha,
-            restarts=restarts,
-            seed=trial_seed,
+            shuffled, method, threshold=threshold, alpha=alpha, seed=trial_seed
         )
         return replace(template, trial=trial, p_stat=p_stat)
 
@@ -201,12 +191,11 @@ def run_profile_audit(
     method: str,
     n_trials: int,
     seed: int = 0,
-    bounds: dict | None = None,
     threshold: float = scm.DEFAULT_THRESHOLD,
     alpha: float = 0.05,
-    restarts: int = communities.DEFAULT_RESTARTS,
 ) -> tuple[list[RunRecord], AuditSummary, int]:
-    """Synthetic classrooms with profiles drawn uniformly within bounds.
+    """Synthetic classrooms with profiles drawn uniformly within the
+    default bounds of ``nullmodels.sample_profile``.
 
     Returns (records, summary, number of infeasible profiles resampled).
     """
@@ -217,16 +206,11 @@ def run_profile_audit(
     def worker(trial: int) -> RunRecord:
         nonlocal resampled
         profile, rm, n_resampled = nullmodels.draw_classroom(
-            np.random.default_rng(seed + trial), bounds
+            np.random.default_rng(seed + trial)
         )
         resampled += n_resampled
         _, p_stat = run_pipeline(
-            rm,
-            method,
-            threshold=threshold,
-            alpha=alpha,
-            restarts=restarts,
-            seed=seed + trial,
+            rm, method, threshold=threshold, alpha=alpha, seed=seed + trial
         )
         return _record(trial, method, "generate", rm, p_stat, profile=profile)
 
@@ -249,16 +233,18 @@ def summarize(records: list[RunRecord]) -> AuditSummary:
     )
 
 
-def histogram_counts(
-    records: list[RunRecord], width: float = 0.05
-) -> list[tuple[float, float, int]]:
-    """Bin counts of P on [0, 1]; the top bin is closed at 1."""
+HISTOGRAM_BINS = 20
+
+
+def histogram_counts(records: list[RunRecord]) -> list[tuple[float, float, int]]:
+    """Bin counts of P on ``HISTOGRAM_BINS`` equal bins of [0, 1]; the top
+    bin is closed at 1."""
     p = np.array([r.p_stat for r in records])
-    n_bins = int(round(1.0 / width))
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(p, bins=edges)
     return [
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(n_bins)
+        (float(edges[i]), float(edges[i + 1]), int(counts[i]))
+        for i in range(HISTOGRAM_BINS)
     ]
 
 

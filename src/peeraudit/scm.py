@@ -23,6 +23,8 @@ from scipy.sparse.csgraph import connected_components
 from .recall import RecallMatrix
 
 DEFAULT_THRESHOLD = 0.4
+# P counts a child only in a group of at least this many members
+MIN_GROUP_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,11 @@ def identify_groups_fifty_percent(
     are pruned (lowest within-group degree first, ties by roster order).
     Groups of fewer than 2 children are dropped, duplicates merged.
 
+    The groups, and so P, depend on the roster order: a seed's growth
+    depends on the visit order, whose degree ties roster position breaks,
+    so relabelling the children can change the groups found. The profile
+    and components rules do not depend on it.
+
     ``net`` must be a symmetric 0/1 matrix with a zero diagonal and one
     row per child, as ``threshold_network`` gives; anything else raises
     ``ValueError``.
@@ -200,7 +207,7 @@ def identify_groups_profile(
     sim: np.ndarray,
     threshold: float,
     children: tuple[str, ...],
-    salience: np.ndarray | None = None,
+    salience: np.ndarray,
 ) -> GroupAssignment:
     """Incremental rule: grow a group by adding anyone whose similarity with
     some current member reaches the threshold.
@@ -209,15 +216,13 @@ def identify_groups_profile(
     order) among children not yet part of any finished group. Grown to
     closure, each group is a connected component of
     ``threshold_network(sim, threshold)``, so groups are disjoint and come
-    in the order of their first member in the founder order. Salience
-    defaults to the thresholded degree when report counts are not
-    supplied. ``sim`` must be symmetric with one row per child,
-    ``threshold`` in [0, 1] and ``salience`` one finite real number per
-    child; anything else raises ``ValueError``.
+    in the order of their first member in the founder order. The pipeline
+    passes each child's report count as its salience. ``sim`` must be
+    symmetric with one row per child, ``threshold`` in [0, 1] and
+    ``salience`` one finite real number per child; anything else raises
+    ``ValueError``.
     """
     net = _check_peer_network(threshold_network(sim, threshold), children)
-    if salience is None:
-        salience = (np.asarray(sim) >= threshold).sum(axis=1)
     salience = np.asarray(salience)
     if salience.shape != (len(children),) or salience.dtype.kind not in "iuf":
         raise ValueError(
@@ -240,16 +245,14 @@ def identify_groups_components(
     return _components_in_order(net, children, range(len(children)))
 
 
-def membership_statistic(
-    assignment: GroupAssignment, n_children: int, min_group_size: int = 3
-) -> float:
+def membership_statistic(assignment: GroupAssignment, n_children: int) -> float:
     """P: proportion of children belonging to at least one group of
-    ``min_group_size`` or more members."""
+    ``MIN_GROUP_SIZE`` or more members."""
     if n_children < 1:
         raise ValueError("n_children must be >= 1")
     counted = set()
     for g in assignment.groups:
-        if len(g) >= min_group_size:
+        if len(g) >= MIN_GROUP_SIZE:
             counted |= g
     return len(counted) / n_children
 

@@ -49,11 +49,15 @@ def test_becd_subcommand_outputs(tmp_path, reports_file):
         assert (out / name).exists()
 
 
-@pytest.mark.parametrize("value", ["0", "21"])
-def test_becd_exact_max_n_out_of_range_is_config_error(tmp_path, reports_file, value):
+@pytest.mark.parametrize("command, flag, value", [
+    ("becd", "--restarts", "5"),
+    ("becd", "--exact-max-n", "12"),
+    ("audit", "--restarts", "5"),
+])
+def test_removed_solver_flags_are_config_errors(tmp_path, reports_file, command, flag, value):
     out = tmp_path / "out"
-    assert main(["--out", str(out), "becd", str(reports_file),
-                 "--exact-max-n", value]) == 1
+    target = [str(reports_file)] if command == "becd" else ["--study", "4a"]
+    assert main(["--out", str(out), command, *target, flag, value]) == 1
     assert not out.exists()
 
 

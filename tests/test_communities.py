@@ -9,7 +9,9 @@ from scipy.sparse.csgraph import connected_components
 from peeraudit import communities
 from peeraudit._kernels import exact_partition_dp
 from peeraudit.communities import (
-    EXACT_MAX_N_LIMIT,
+    DEFAULT_RESTARTS,
+    EXACT_MAX_N,
+    _louvain_best,
     becd_groups,
     canonical_labels,
     maximize_modularity,
@@ -195,20 +197,13 @@ def test_component_above_exact_max_n_sends_whole_network_to_louvain(monkeypatch)
         return louvain(net, rng)
 
     monkeypatch.setattr(communities, "_louvain", spy)
-    net = _disjoint_union(_path(6), _TRIANGLE)
-    labels, q = maximize_modularity(net, restarts=4, seed=0, exact_max_n=5)
-    assert seen == [9] * 4
+    net = _disjoint_union(_path(EXACT_MAX_N + 1), _TRIANGLE)
+    labels, q = maximize_modularity(net, seed=0)
+    assert seen == [EXACT_MAX_N + 4] * DEFAULT_RESTARTS
     assert modularity(net, labels) == pytest.approx(q, abs=1e-12)
     seen.clear()
-    maximize_modularity(net, restarts=4, seed=0, exact_max_n=6)
+    maximize_modularity(_disjoint_union(_path(EXACT_MAX_N), _TRIANGLE), seed=0)
     assert seen == []
-
-
-@pytest.mark.parametrize("bad", [0, -1, EXACT_MAX_N_LIMIT + 1, 40])
-def test_exact_max_n_bounded(bad):
-    # rejected before any array is built
-    with pytest.raises(ValueError, match="exact_max_n"):
-        maximize_modularity(np.zeros((2, 2), dtype=np.int64), exact_max_n=bad)
 
 
 def test_exact_partition_dp_default_two_m_is_own_degree_sum():
@@ -265,7 +260,7 @@ def test_heuristic_beats_trivial_partitions():
         net = (rng.random((n, n)) < 0.2).astype(np.int64)
         net = np.triu(net, 1)
         net = net + net.T
-        labels, q = maximize_modularity(net, restarts=10, seed=5)
+        labels, q = _louvain_best(net, 10, 5)
         assert q >= modularity(net, np.zeros(n, dtype=int)) - 1e-12
         assert q >= modularity(net, np.arange(n)) - 1e-12
 
@@ -274,8 +269,8 @@ def test_maximize_deterministic_and_thread_safe_seeding():
     net = (np.random.default_rng(23).random((18, 18)) < 0.25).astype(np.int64)
     net = np.triu(net, 1)
     net = net + net.T
-    a = maximize_modularity(net, restarts=8, seed=42)
-    b = maximize_modularity(net, restarts=8, seed=42)
+    a = _louvain_best(net, 8, 42)
+    b = _louvain_best(net, 8, 42)
     assert (a[0] == b[0]).all() and a[1] == b[1]
 
 

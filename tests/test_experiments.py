@@ -16,8 +16,8 @@ from peeraudit.experiments import (
     run_shuffle_audit,
     summarize,
 )
-from peeraudit.nullmodels import curveball_randomize
-from peeraudit.recall import parse_reports
+from peeraudit.nullmodels import curveball_randomize, draw_classroom
+from peeraudit.recall import RecallMatrix, parse_reports
 from peeraudit.scm import GroupAssignment
 
 
@@ -163,6 +163,42 @@ def test_run_pipeline_unknown_method():
     rm = parse_reports("A,B\n")
     with pytest.raises(ValueError):
         run_pipeline(rm, "kmeans")
+
+
+def _relabelled_classroom(seed):
+    """``draw_classroom``'s classroom for ``seed``, the same matrix with its
+    reports permuted, and the same with its children relabelled (rows and
+    names permuted together)."""
+    _, rm, _ = draw_classroom(np.random.default_rng(seed))
+    rng = np.random.default_rng([seed, 1])
+    rows = rng.permutation(rm.n_children)
+    cols = rng.permutation(rm.n_reports)
+    by_report = RecallMatrix(rm.children, rm.entries[:, cols])
+    by_child = RecallMatrix(tuple(rm.children[i] for i in rows), rm.entries[rows])
+    return rm, by_report, by_child
+
+
+def test_pipelines_invariant_under_report_order_and_child_labels():
+    for seed in range(40):
+        rm, by_report, by_child = _relabelled_classroom(seed)
+        for method in experiments.METHODS:
+            groups, p_stat = run_pipeline(rm, method, seed=seed)
+            # the fifty rule depends on the roster order; see the next test
+            relabelled = [by_report] if method == "scm-fifty" else [by_report, by_child]
+            for other in relabelled:
+                other_groups, other_p = run_pipeline(other, method, seed=seed)
+                assert other_p == p_stat, (seed, method)
+                assert set(other_groups.groups) == set(groups.groups), (seed, method)
+
+
+def test_fifty_rule_depends_on_roster_order():
+    # the visit order breaks degree ties by roster position, so relabelling
+    # the children of this classroom changes the groups and P
+    rm, _, by_child = _relabelled_classroom(1)
+    groups, p_stat = run_pipeline(rm, "scm-fifty")
+    other_groups, other_p = run_pipeline(by_child, "scm-fifty")
+    assert set(other_groups.groups) != set(groups.groups)
+    assert other_p == pytest.approx(p_stat - 1 / 27)
 
 
 def test_shuffle_audit_record_contract():

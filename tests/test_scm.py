@@ -300,13 +300,13 @@ def test_profile_single_pair():
     s = np.zeros((3, 3))
     np.fill_diagonal(s, 1.0)
     s[0, 1] = s[1, 0] = 0.9
-    assignment = identify_groups_profile(s, 0.4, _names(3))
+    assignment = identify_groups_profile(s, 0.4, _names(3), np.ones(3))
     assert set(assignment.groups) == {frozenset({"v0", "v1"})}
 
 
 def test_profile_everyone_connected():
     s = np.full((4, 4), 0.5)
-    assignment = identify_groups_profile(s, 0.4, _names(4))
+    assignment = identify_groups_profile(s, 0.4, _names(4), np.ones(4))
     assert set(assignment.groups) == {frozenset(_names(4))}
 
 
@@ -315,7 +315,7 @@ def test_profile_chain_closure():
     np.fill_diagonal(s, 1.0)
     s[0, 1] = s[1, 0] = 0.5
     s[1, 2] = s[2, 1] = 0.5
-    assignment = identify_groups_profile(s, 0.4, _names(3))
+    assignment = identify_groups_profile(s, 0.4, _names(3), np.ones(3))
     assert set(assignment.groups) == {frozenset({"v0", "v1", "v2"})}
 
 
@@ -326,7 +326,7 @@ def test_profile_chain_closure():
 ])
 def test_profile_rejects_bad_input(sim, n_children, threshold, message):
     with pytest.raises(ValueError, match=message):
-        identify_groups_profile(sim, threshold, _names(n_children))
+        identify_groups_profile(sim, threshold, _names(n_children), np.ones(n_children))
 
 
 @pytest.mark.parametrize("salience, message", [
@@ -352,12 +352,10 @@ def test_profile_orders_unsigned_salience_as_numbers():
         assert groups == (frozenset({"v2", "v3"}), frozenset({"v0", "v1"}))
 
 
-def _profile_reference(sim, threshold, children, salience=None):
+def _profile_reference(sim, threshold, children, salience):
     """The profile rule as a closure loop that grows each founder's group."""
     sim = np.asarray(sim)
     n = sim.shape[0]
-    if salience is None:
-        salience = (sim >= threshold).sum(axis=1)
     salience = np.asarray(salience)
     order = sorted(range(n), key=lambda i: (-salience[i], i))
     processed: set[int] = set()
@@ -391,7 +389,10 @@ def test_profile_matches_reference_on_random_similarities():
             sim = np.round(sim * 1.25, 1).clip(-1, 1)  # values on the threshold grid
         np.fill_diagonal(sim, 1.0)
         threshold = [0.0, 1.0, float(rng.integers(0, 11)) / 10, rng.uniform()][case % 4]
-        salience = rng.integers(0, 4, size=n) if case % 3 else None
+        if case % 3:
+            salience = rng.integers(0, 4, size=n)
+        else:  # thresholded degree
+            salience = (sim >= threshold).sum(axis=1)
         names = _names(n)
         assert identify_groups_profile(sim, threshold, names, salience) == _profile_reference(
             sim, threshold, names, salience

@@ -27,6 +27,8 @@ MAX_REPORT_SIZE = 20
 # upper bounds on a profile's counts; the recall matrix stays within 10 MB
 MAX_CHILDREN = 1000
 MAX_REPORTS = 10_000
+# uniforms drawn per batch by the report sampler; bounds its memory
+_UNIFORM_BATCH = 8192
 _CONCENTRATION_RANGE = (0.05, 1e4)
 
 
@@ -180,30 +182,61 @@ def _subset_weight_table(odds: np.ndarray, max_size: int) -> np.ndarray:
     return table
 
 
-def _fixed_size_weighted_sample(
-    rng: np.random.Generator, odds: np.ndarray, table: np.ndarray, size: int
-) -> list[int]:
-    """Draw a fixed-size subset with selection odds proportional to ``odds``.
+def _draw_reports(rng: np.random.Generator, odds: np.ndarray, sizes: list[int]) -> list[int]:
+    """The members of every report, report by report, each in child order.
 
-    Conditional Poisson design: P(S) is proportional to prod(odds[S]) over
-    subsets of the requested size, so fixed-size reports stay compatible
-    with a multiplicative (maximum-entropy) cell-probability null.
+    Report j is a fixed-size subset of ``sizes[j]`` children drawn by the
+    conditional Poisson design (Chen, Dempster & Liu 1994): P(S) is
+    proportional to prod(odds[S]) over subsets of that size, so fixed-size
+    reports stay compatible with a multiplicative (maximum-entropy)
+    cell-probability null. A report walks the children in order, takes
+    all that are left once as many are left as it still needs, and
+    otherwise takes child i when a uniform falls below its inclusion
+    probability given the number still needed.
+
+    The uniforms are drawn in batches of at most ``_UNIFORM_BATCH``, and a
+    batch is refilled only between reports. Before each batch the
+    generator state is saved; once the reports have used k of its
+    uniforms, the state is restored and ``rng.random(k)`` is drawn. So on
+    any bit generator the reports, and the generator's next draw, are
+    those of one ``rng.random()`` call per uniform used.
     """
     n = odds.size
-    chosen: list[int] = []
-    need = size
-    for i in range(n):
-        if need == 0:
-            break
-        if n - i == need:  # must take everything that is left
-            chosen.extend(range(i, n))
-            break
-        denom = table[need, i]
-        p_inc = odds[i] * table[need - 1, i + 1] / denom if denom > 0 else 1.0
-        if rng.random() < p_inc:
-            chosen.append(i)
-            need -= 1
-    return chosen
+    table = _subset_weight_table(odds, max(sizes))
+    denom = table[1:, :-1]
+    # p_inc[need][i]: inclusion probability of child i with need members to go
+    p_inc = np.ones((denom.shape[0] + 1, n))
+    np.divide(odds * table[:-1, 1:], denom, out=p_inc[1:], where=denom > 0)
+    p_inc = p_inc.tolist()
+    # a report uses fewer than n uniforms, so one that starts with n or
+    # more left in its batch never runs past the end
+    batch = max(_UNIFORM_BATCH, n)
+    uniforms: list[float] = []
+    used = 0
+    state = None
+    members: list[int] = []
+    for j, size in enumerate(sizes):
+        if len(uniforms) - used < n:
+            if state is not None:
+                rng.bit_generator.state = state
+                rng.random(used)
+            state = rng.bit_generator.state
+            uniforms = rng.random(min(batch, n * (len(sizes) - j))).tolist()
+            used = 0
+        need = size
+        i = 0
+        while need:
+            if n - i == need:  # must take everything that is left
+                members.extend(range(i, n))
+                break
+            if uniforms[used] < p_inc[need][i]:
+                members.append(i)
+                need -= 1
+            used += 1
+            i += 1
+    rng.bit_generator.state = state
+    rng.random(used)
+    return members
 
 
 def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
@@ -224,23 +257,18 @@ def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
         raise InfeasibleProfileError(
             f"mean report size {mean_size:.2f} exceeds the support maximum {size_max}"
         )
-    if size_max == 1:
-        sizes = np.ones(m, dtype=np.int64)
-    else:
-        mean01 = np.clip((mean_size - 1.0) / (size_max - 1.0), 0.02, 0.98)
-        conc = _solve_concentration(mean01, profile.group_size_skew)
-        draws = rng.beta(mean01 * conc, (1.0 - mean01) * conc, size=m)
-        sizes = np.rint(1.0 + draws * (size_max - 1.0)).astype(np.int64)
-        sizes = np.clip(sizes, 1, size_max)
+    mean01 = np.clip((mean_size - 1.0) / (size_max - 1.0), 0.02, 0.98)
+    conc = _solve_concentration(mean01, profile.group_size_skew)
+    draws = rng.beta(mean01 * conc, (1.0 - mean01) * conc, size=m)
+    sizes = np.rint(1.0 + draws * (size_max - 1.0)).astype(np.int64)
+    sizes = np.clip(sizes, 1, size_max)
     w_mean = _solve_mean_for_skew(profile.nomination_skew)
     weights = rng.beta(w_mean * 5.0, (1.0 - w_mean) * 5.0, size=n)
     odds = np.clip(weights / weights.mean(), 1e-8, 1e8)
-    table = _subset_weight_table(odds, int(sizes.max()))
+    members = _draw_reports(rng, odds, sizes.tolist())
     entries = np.zeros((n, m), dtype=np.int8)
+    entries[members, np.repeat(np.arange(m), sizes)] = 1
     names = [f"c{i + 1:02d}" for i in range(n)]
-    for j in range(m):
-        members = _fixed_size_weighted_sample(rng, odds, table, int(sizes[j]))
-        entries[members, j] = 1
     return RecallMatrix(tuple(names), entries)
 
 
@@ -252,9 +280,25 @@ def draw_classroom(
     """One synthetic classroom; returns (profile, matrix, profiles resampled).
 
     Without ``profile``, profiles are drawn within ``bounds`` until one is
-    feasible; a fixed ``profile`` that is infeasible raises
+    feasible; bounds that admit no feasible profile raise ``ValueError``
+    before any draw. A fixed ``profile`` that is infeasible raises
     ``InfeasibleProfileError``.
     """
+    if profile is None:
+        b = {**PROFILE_BOUNDS, **(bounds or {})}
+        lo_n = b["n_children"][0]
+        lo_p, hi_p = b["nomination_probability"]
+        # generate_classroom rejects every profile once the smallest mean
+        # report size the bounds allow is above its limit; at the limit only
+        # p == lo_p passes, which a uniform draw over a wider range all but
+        # never makes
+        smallest, limit = lo_p * lo_n, MAX_REPORT_SIZE + 0.5
+        if smallest > limit or (smallest == limit and hi_p > lo_p):
+            raise ValueError(
+                f"no feasible profile within bounds: n_children >= {lo_n} and "
+                f"nomination_probability >= {lo_p} put the mean report size at "
+                f"{smallest:.2f} or more, against a limit of {limit}"
+            )
     n_resampled = 0
     while True:
         drawn = profile if profile is not None else sample_profile(bounds, seed=rng)

@@ -11,7 +11,7 @@ import pathlib
 import numpy as np
 
 import peeraudit
-from peeraudit import _kernels, communities, datasets, experiments
+from peeraudit import _kernels, communities, datasets, experiments, nullmodels
 
 AUDITBENCH = pathlib.Path(__file__).resolve().parents[1] / "auditbench"
 
@@ -37,3 +37,25 @@ def test_benchmark_tracer_attaches_and_restores(monkeypatch):
     # the kernel timings call the DP with the network alone
     inspect.signature(_kernels.exact_partition_dp).bind(np.zeros((2, 2)))
     assert isinstance(peeraudit.BACKEND, str)
+
+
+def test_benchmark_tracer_sees_the_classroom_generator(monkeypatch):
+    # generate-scm and generate-becd time the generator through these two
+    # names; inlining either into draw_classroom would empty that layer
+    monkeypatch.syspath_prepend(str(AUDITBENCH))
+    import layers
+    import spans
+
+    originals = {name: getattr(nullmodels, name)
+                 for name in ("generate_classroom", "sample_profile")}
+    tracer = spans.Tracer()
+    layers.attach(tracer)
+    try:
+        records, _, _ = experiments.run_profile_audit("scm-fifty", 1)
+    finally:
+        tracer.restore()
+    assert len(records) == 1
+    assert len(tracer.named("nullmodels.generate_classroom")) == 1
+    assert len(tracer.named("nullmodels.sample_profile")) == 1
+    for name, fn in originals.items():
+        assert getattr(nullmodels, name) is fn

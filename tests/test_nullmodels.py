@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from peeraudit import nullmodels
 from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import (
+    MAX_REPORT_SIZE,
     PROFILE_BOUNDS,
     ClassroomProfile,
     InfeasibleProfileError,
@@ -296,6 +298,27 @@ def test_draw_classroom_resamples_infeasible_profiles():
     assert total > 0
 
 
+@pytest.mark.parametrize("lo_p, hi_p", [
+    (0.9, 0.95),
+    (0.5125, 0.95),  # 0.5125 * 40 == 20.5: only p == 0.5125 itself is feasible
+])
+def test_draw_classroom_rejects_bounds_with_no_feasible_profile(lo_p, hi_p):
+    # this used to resample forever
+    bounds = {"n_children": (40, 45), "nomination_probability": (lo_p, hi_p)}
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"n_children >= 40 and nomination_probability >= {lo_p} "):
+        draw_classroom(rng, bounds)
+    assert rng.bit_generator.state == state
+
+
+def test_draw_classroom_accepts_bounds_at_the_feasibility_limit():
+    bounds = {"n_children": (40, 40), "nomination_probability": (0.5125, 0.5125)}
+    profile, rm, n_resampled = draw_classroom(np.random.default_rng(0), bounds)
+    assert profile.nomination_probability * profile.n_children == MAX_REPORT_SIZE + 0.5
+    assert n_resampled == 0 and rm.entries.shape[0] == 40
+
+
 def test_draw_classroom_fixed_profile():
     profile = ClassroomProfile(26, 61, 0.3, 0.5, 0.5)
     drawn, rm, n_resampled = draw_classroom(np.random.default_rng(4), profile=profile)
@@ -303,6 +326,139 @@ def test_draw_classroom_fixed_profile():
     assert np.array_equal(rm.entries, generate_classroom(profile, seed=4).entries)
     with pytest.raises(InfeasibleProfileError):
         draw_classroom(np.random.default_rng(4), profile=ClassroomProfile(40, 10, 0.9, 0.0, 0.0))
+
+
+def _fixed_size_weighted_sample(
+    rng: np.random.Generator, odds: np.ndarray, table: np.ndarray, size: int
+) -> list[int]:
+    """Draw a fixed-size subset with selection odds proportional to ``odds``.
+
+    Conditional Poisson design: P(S) is proportional to prod(odds[S]) over
+    subsets of the requested size, so fixed-size reports stay compatible
+    with a multiplicative (maximum-entropy) cell-probability null.
+    """
+    n = odds.size
+    chosen: list[int] = []
+    need = size
+    for i in range(n):
+        if need == 0:
+            break
+        if n - i == need:  # must take everything that is left
+            chosen.extend(range(i, n))
+            break
+        denom = table[need, i]
+        p_inc = odds[i] * table[need - 1, i + 1] / denom if denom > 0 else 1.0
+        if rng.random() < p_inc:
+            chosen.append(i)
+            need -= 1
+    return chosen
+
+
+def _generate_reference(profile, seed=None):
+    """``generate_classroom`` with one ``rng.random()`` call per uniform."""
+    rng = as_rng(seed)
+    n, m = profile.n_children, profile.n_reports
+    size_max = min(MAX_REPORT_SIZE, n)
+    mean_size = profile.nomination_probability * n
+    if mean_size > size_max + 0.5:
+        raise InfeasibleProfileError("infeasible")
+    mean01 = np.clip((mean_size - 1.0) / (size_max - 1.0), 0.02, 0.98)
+    conc = nullmodels._solve_concentration(mean01, profile.group_size_skew)
+    draws = rng.beta(mean01 * conc, (1.0 - mean01) * conc, size=m)
+    sizes = np.rint(1.0 + draws * (size_max - 1.0)).astype(np.int64)
+    sizes = np.clip(sizes, 1, size_max)
+    w_mean = nullmodels._solve_mean_for_skew(profile.nomination_skew)
+    weights = rng.beta(w_mean * 5.0, (1.0 - w_mean) * 5.0, size=n)
+    odds = np.clip(weights / weights.mean(), 1e-8, 1e8)
+    table = nullmodels._subset_weight_table(odds, int(sizes.max()))
+    entries = np.zeros((n, m), dtype=np.int8)
+    names = [f"c{i + 1:02d}" for i in range(n)]
+    for j in range(m):
+        members = _fixed_size_weighted_sample(rng, odds, table, int(sizes[j]))
+        entries[members, j] = 1
+    return RecallMatrix(tuple(names), entries)
+
+
+def _assert_generate_matches_reference(profile, rng, ref_rng):
+    got = generate_classroom(profile, seed=rng).entries
+    expected = _generate_reference(profile, seed=ref_rng).entries
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    # the generator was left where one random() call per uniform leaves it
+    assert rng.random() == ref_rng.random()
+    return expected
+
+
+def _draw_classroom_reference(rng):
+    """``draw_classroom(rng)`` through the reference generator."""
+    while True:
+        profile = sample_profile(seed=rng)
+        try:
+            return profile, _generate_reference(profile, seed=rng)
+        except InfeasibleProfileError:
+            pass
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+def test_generate_matches_reference_on_drawn_classrooms(bit_generator):
+    n_seeds = 300 if bit_generator is np.random.PCG64 else 20
+    for seed in range(n_seeds):
+        rng = np.random.Generator(bit_generator(seed))
+        ref_rng = np.random.Generator(bit_generator(seed))
+        profile, rm, _ = draw_classroom(rng)
+        ref_profile, ref_rm = _draw_classroom_reference(ref_rng)
+        assert profile == ref_profile
+        assert rm.entries.dtype == ref_rm.entries.dtype
+        assert np.array_equal(rm.entries, ref_rm.entries)
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("profile", [
+    ClassroomProfile(2, 60, 0.5, 0.0, 0.0),  # sizes 1 and 2 of 2
+    ClassroomProfile(2, 60, 0.9, 1.9, -0.5),
+    ClassroomProfile(20, 80, 0.99, 0.0, -0.5),  # many reports name all 20
+    ClassroomProfile(40, 100, 0.5125, 1.9, 0.0),  # mean size 20.5
+    ClassroomProfile(41, 100, 0.5, -1.7, 2.3),  # mean size 20.5
+    ClassroomProfile(15, 200, 0.9, 1.99, -0.52),  # most reports take the rest
+])
+def test_generate_matches_reference_on_edge_profiles(profile):
+    for seed in range(5):
+        entries = _assert_generate_matches_reference(
+            profile, np.random.default_rng(seed), np.random.default_rng(seed))
+    if profile.n_children == 20:
+        assert (entries.sum(axis=0) == 20).sum() > 10
+
+
+def test_generate_matches_reference_across_uniform_batches():
+    # more uniforms than one batch holds, so batches are refilled and rewound
+    profile = ClassroomProfile(40, 600, 0.3, 1.0, 1.0)
+    assert profile.n_children * profile.n_reports > 2 * nullmodels._UNIFORM_BATCH
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # a pending half of a 64-bit output survives the rewind
+        assert rng.integers(2**32, dtype=np.uint32) == ref_rng.integers(2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        entries = _assert_generate_matches_reference(profile, rng, ref_rng)
+        assert entries.sum() > 2 * nullmodels._UNIFORM_BATCH / profile.n_children
+        assert rng.integers(2**32, dtype=np.uint32) == ref_rng.integers(2**32, dtype=np.uint32)
+
+
+def test_report_sampler_draws_conditional_poisson_subsets():
+    # P(S) of a fixed-size report is proportional to prod(odds[S]): 4000
+    # reports of 3 of 6 children against the 20 subsets' expected counts
+    odds = np.array([0.5, 0.7, 1.0, 1.4, 2.0, 3.0])
+    subsets = list(itertools.combinations(range(6), 3))
+    weights = np.array([np.prod(odds[list(s)]) for s in subsets])
+    n_reports = 4000
+    members = nullmodels._draw_reports(np.random.default_rng(11), odds, [3] * n_reports)
+    index = {s: k for k, s in enumerate(subsets)}
+    counts = np.zeros(len(subsets), dtype=np.int64)
+    for j in range(n_reports):
+        counts[index[tuple(members[3 * j: 3 * j + 3])]] += 1
+    expected = n_reports * weights / weights.sum()
+    assert expected.min() > 25
+    assert stats.chisquare(counts, expected).pvalue > 1e-3
 
 
 def test_generate_zero_skew_targets_zero():

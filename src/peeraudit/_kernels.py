@@ -119,6 +119,8 @@ def exact_partition_dp(
             sub = (sub - 1) & rest
         best[s] = b
         choice[s] = c
+    # choice[s] holds the lowest vertex of s, so blocks are numbered in
+    # order of their first vertex: the labels are canonical
     labels = np.empty(n, dtype=np.int64)
     s = full - 1
     label = 0
@@ -129,9 +131,4 @@ def exact_partition_dp(
                 labels[v] = label
         label += 1
         s ^= t
-    # canonical labels: renumber by first appearance
-    remap: dict[int, int] = {}
-    for v in range(n):
-        remap.setdefault(int(labels[v]), len(remap))
-    labels = np.array([remap[int(x)] for x in labels], dtype=np.int64)
     return labels, float(best[full - 1])

@@ -236,7 +236,7 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha):
         assignment, p_stat = experiments.run_pipeline(rm, method, seed=seed, **kwargs)
         records = [experiments._record(0, method, "benchmark", rm, p_stat)]
         summary = experiments.summarize(records)
-        blocks, allowed = datasets.load_benchmark_blocks()
+        blocks, allowed = datasets.planted_blocks()
         extra["agreement"] = experiments.block_agreement(assignment, blocks, allowed)
     elif study in ("2", "4b"):
         rm = datasets.load_benchmark()
@@ -244,10 +244,7 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha):
             rm, method, trials, seed=seed, **kwargs
         )
     else:  # 3 or 4c
-        records, summary, resampled = experiments.run_profile_audit(
-            method, trials, seed=seed, **kwargs
-        )
-        extra["n_resampled"] = resampled
+        records, summary = experiments.run_profile_audit(method, trials, seed=seed, **kwargs)
         if study == "3":
             regression = experiments.ols_regression(records)
     (out / "records.csv").write_text(CSV_HEADER + experiments.records_to_csv(records))

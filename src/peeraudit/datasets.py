@@ -88,8 +88,3 @@ def load_benchmark() -> RecallMatrix:
     """The committed surrogate classroom fixture."""
     text = resources.files("peeraudit.data").joinpath("benchmark_reports.txt").read_text()
     return parse_reports(text)
-
-
-def load_benchmark_blocks() -> tuple[list[set[str]], dict[str, set[int]]]:
-    """The benchmark's planted blocks, as ``planted_blocks`` gives them."""
-    return planted_blocks()

@@ -193,29 +193,21 @@ def run_profile_audit(
     seed: int = 0,
     threshold: float = scm.DEFAULT_THRESHOLD,
     alpha: float = 0.05,
-) -> tuple[list[RunRecord], AuditSummary, int]:
-    """Synthetic classrooms with profiles drawn uniformly within the
-    default bounds of ``nullmodels.sample_profile``.
-
-    Returns (records, summary, number of infeasible profiles resampled).
-    """
+) -> tuple[list[RunRecord], AuditSummary]:
+    """Synthetic classrooms with profiles drawn uniformly within
+    ``nullmodels.PROFILE_BOUNDS``."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    resampled = 0
 
     def worker(trial: int) -> RunRecord:
-        nonlocal resampled
-        profile, rm, n_resampled = nullmodels.draw_classroom(
-            np.random.default_rng(seed + trial)
-        )
-        resampled += n_resampled
+        profile, rm = nullmodels.draw_classroom(np.random.default_rng(seed + trial))
         _, p_stat = run_pipeline(
             rm, method, threshold=threshold, alpha=alpha, seed=seed + trial
         )
         return _record(trial, method, "generate", rm, p_stat, profile=profile)
 
     records = _run_trials(worker, n_trials, seed)
-    return records, summarize(records), resampled
+    return records, summarize(records)
 
 
 def summarize(records: list[RunRecord]) -> AuditSummary:

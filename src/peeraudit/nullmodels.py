@@ -14,7 +14,9 @@ from scipy import optimize
 
 from .recall import DataError, RecallMatrix
 
-# Parameter ranges spanned by the profile-audit default bounds.
+# Ranges of the profiles that sample_profile draws uniformly. The largest
+# mean report size they allow, 0.45 * 40 = 18, is below the generator's
+# limit of min(MAX_REPORT_SIZE, n) + 0.5 for every n, so each is feasible.
 PROFILE_BOUNDS = {
     "n_children": (15, 40),
     "n_reports": (15, 200),
@@ -30,6 +32,8 @@ MAX_REPORTS = 10_000
 # uniforms drawn per batch by the report sampler; bounds its memory
 _UNIFORM_BATCH = 8192
 _CONCENTRATION_RANGE = (0.05, 1e4)
+# concentration of the Beta that child salience weights are drawn from
+_SALIENCE_CONCENTRATION = 5.0
 
 
 class InfeasibleProfileError(DataError):
@@ -156,15 +160,16 @@ def _solve_concentration(mean: float, target_skew: float) -> float:
     return float(optimize.brentq(f, lo, hi, xtol=1e-10))
 
 
-def _solve_mean_for_skew(target_skew: float, conc: float = 5.0) -> float:
-    """Mean of a Beta with fixed concentration hitting the target skewness.
+def _solve_mean_for_skew(target_skew: float) -> float:
+    """Mean of a Beta with concentration ``_SALIENCE_CONCENTRATION`` hitting
+    the target skewness.
 
     Skewness decreases monotonically from +inf to -inf as the mean runs
     over (0, 1), so any target is reachable.
     """
     if target_skew == 0.0:
         return 0.5
-    f = lambda mean: _beta_skew(mean, conc) - target_skew
+    f = lambda mean: _beta_skew(mean, _SALIENCE_CONCENTRATION) - target_skew
     return float(optimize.brentq(f, 1e-4, 1.0 - 1e-4, xtol=1e-12))
 
 
@@ -263,7 +268,9 @@ def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
     sizes = np.rint(1.0 + draws * (size_max - 1.0)).astype(np.int64)
     sizes = np.clip(sizes, 1, size_max)
     w_mean = _solve_mean_for_skew(profile.nomination_skew)
-    weights = rng.beta(w_mean * 5.0, (1.0 - w_mean) * 5.0, size=n)
+    weights = rng.beta(
+        w_mean * _SALIENCE_CONCENTRATION, (1.0 - w_mean) * _SALIENCE_CONCENTRATION, size=n
+    )
     odds = np.clip(weights / weights.mean(), 1e-8, 1e8)
     members = _draw_reports(rng, odds, sizes.tolist())
     entries = np.zeros((n, m), dtype=np.int8)
@@ -273,49 +280,23 @@ def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
 
 
 def draw_classroom(
-    rng: np.random.Generator,
-    bounds: dict | None = None,
-    profile: ClassroomProfile | None = None,
-) -> tuple[ClassroomProfile, RecallMatrix, int]:
-    """One synthetic classroom; returns (profile, matrix, profiles resampled).
+    rng: np.random.Generator, profile: ClassroomProfile | None = None
+) -> tuple[ClassroomProfile, RecallMatrix]:
+    """One synthetic classroom; returns (profile, matrix).
 
-    Without ``profile``, profiles are drawn within ``bounds`` until one is
-    feasible; bounds that admit no feasible profile raise ``ValueError``
-    before any draw. A fixed ``profile`` that is infeasible raises
-    ``InfeasibleProfileError``.
+    Without ``profile``, one is drawn by ``sample_profile``; every profile
+    within ``PROFILE_BOUNDS`` is feasible. A fixed ``profile`` that is
+    infeasible raises ``InfeasibleProfileError``.
     """
     if profile is None:
-        b = {**PROFILE_BOUNDS, **(bounds or {})}
-        lo_n = b["n_children"][0]
-        lo_p, hi_p = b["nomination_probability"]
-        # generate_classroom rejects every profile once the smallest mean
-        # report size the bounds allow is above its limit; at the limit only
-        # p == lo_p passes, which a uniform draw over a wider range all but
-        # never makes
-        smallest, limit = lo_p * lo_n, MAX_REPORT_SIZE + 0.5
-        if smallest > limit or (smallest == limit and hi_p > lo_p):
-            raise ValueError(
-                f"no feasible profile within bounds: n_children >= {lo_n} and "
-                f"nomination_probability >= {lo_p} put the mean report size at "
-                f"{smallest:.2f} or more, against a limit of {limit}"
-            )
-    n_resampled = 0
-    while True:
-        drawn = profile if profile is not None else sample_profile(bounds, seed=rng)
-        try:
-            return drawn, generate_classroom(drawn, seed=rng), n_resampled
-        except InfeasibleProfileError:
-            if profile is not None:
-                raise
-            n_resampled += 1
+        profile = sample_profile(seed=rng)
+    return profile, generate_classroom(profile, seed=rng)
 
 
-def sample_profile(bounds: dict | None = None, seed=None) -> ClassroomProfile:
-    """Uniform draw of a profile within the given (or default) ranges."""
+def sample_profile(seed=None) -> ClassroomProfile:
+    """Uniform draw of a profile within ``PROFILE_BOUNDS``."""
     rng = as_rng(seed)
-    b = dict(PROFILE_BOUNDS)
-    if bounds:
-        b.update(bounds)
+    b = PROFILE_BOUNDS
     lo, hi = b["n_children"]
     n_children = int(rng.integers(lo, hi + 1))
     lo, hi = b["n_reports"]

@@ -31,7 +31,7 @@ def test_criterion_1_benchmark_true_positive():
     t0 = time.perf_counter()
     rm = datasets.load_benchmark()
     assignment, p_stat = experiments.run_pipeline(rm, "scm-fifty")
-    blocks, allowed = datasets.load_benchmark_blocks()
+    blocks, allowed = datasets.planted_blocks()
     agreement = experiments.block_agreement(assignment, blocks, allowed)
     elapsed = time.perf_counter() - t0
     ok = p_stat == 1.0 and agreement >= 0.95 and elapsed < 1.0
@@ -64,7 +64,7 @@ def test_criterion_2_scm_shuffle_false_positives():
 
 def test_criterion_3_scm_settings_and_signs():
     t0 = time.perf_counter()
-    records, summary, _ = experiments.run_profile_audit("scm-fifty", 1000, seed=7)
+    records, summary = experiments.run_profile_audit("scm-fifty", 1000, seed=7)
     reg = experiments.ols_regression(records)
     elapsed = time.perf_counter() - t0
     signs = tuple(np.sign(reg.b))
@@ -89,7 +89,7 @@ def test_criterion_4_becd_low_false_positives():
     t0 = time.perf_counter()
     rm = datasets.load_benchmark()
     _, shuffle_summary = experiments.run_shuffle_audit(rm, "becd", 1000, seed=7)
-    _, profile_summary, _ = experiments.run_profile_audit("becd", 1000, seed=7)
+    _, profile_summary = experiments.run_profile_audit("becd", 1000, seed=7)
     elapsed = time.perf_counter() - t0
     ok = (
         shuffle_summary.frac_positive <= 0.05

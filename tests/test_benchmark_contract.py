@@ -51,7 +51,7 @@ def test_benchmark_tracer_sees_the_classroom_generator(monkeypatch):
     tracer = spans.Tracer()
     layers.attach(tracer)
     try:
-        records, _, _ = experiments.run_profile_audit("scm-fifty", 1)
+        records, _ = experiments.run_profile_audit("scm-fifty", 1)
     finally:
         tracer.restore()
     assert len(records) == 1

@@ -216,6 +216,8 @@ def test_exact_partition_dp_default_two_m_is_own_degree_sum():
         labels_m, q_m = exact_partition_dp(adj, two_m=adj.sum())
         assert labels_m.tolist() == labels.tolist()
         assert q_m == q
+        # the decode numbers blocks by first appearance
+        assert (labels == canonical_labels(labels)).all()
 
 
 @st.composite

@@ -169,7 +169,7 @@ def _relabelled_classroom(seed):
     """``draw_classroom``'s classroom for ``seed``, the same matrix with its
     reports permuted, and the same with its children relabelled (rows and
     names permuted together)."""
-    _, rm, _ = draw_classroom(np.random.default_rng(seed))
+    _, rm = draw_classroom(np.random.default_rng(seed))
     rng = np.random.default_rng([seed, 1])
     rows = rng.permutation(rm.n_children)
     cols = rng.permutation(rm.n_reports)
@@ -223,7 +223,7 @@ def test_shuffle_audit_records_equal_per_trial_records():
 
 
 def test_profile_audit_carries_targets_and_realized():
-    records, summary, _ = run_profile_audit("scm-fifty", 12, seed=5)
+    records, summary = run_profile_audit("scm-fifty", 12, seed=5)
     assert summary.n_trials == 12
     for r in records:
         assert r.source == "generate"
@@ -252,7 +252,7 @@ def test_records_csv_recomputes_summary():
 def test_benchmark_fixture_shape():
     rm = datasets.load_benchmark()
     assert rm.n_children == 26 and rm.n_reports == 61
-    blocks, allowed = datasets.load_benchmark_blocks()
+    blocks, allowed = datasets.planted_blocks()
     assert len(blocks) == 5
     assert set().union(*blocks) | set(allowed) == set(rm.children)
 

@@ -23,7 +23,6 @@ from .recall import (
     DataError,
     RecallMatrix,
     drop_never_named,
-    load_matrix_csv,
     load_reports,
     margins,
     parse_reports,
@@ -56,7 +55,6 @@ __all__ = [
     "extract_backbone",
     "fit_bicm",
     "generate_classroom",
-    "load_matrix_csv",
     "load_reports",
     "margins",
     "maximize_modularity",

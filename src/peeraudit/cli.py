@@ -95,7 +95,7 @@ def cli(ctx, seed, threads, out):
 @cli.command("scm")
 @click.argument("reports", type=click.Path(exists=True, dir_okay=False))
 @click.option("--threshold", type=float, default=scm.DEFAULT_THRESHOLD, show_default=True)
-@click.option("--rule", type=click.Choice(["fifty", "profile", "components"]), default="fifty", show_default=True)
+@click.option("--rule", type=click.Choice(["fifty", "components"]), default="fifty", show_default=True)
 @click.option("--out-network", default="network.csv", show_default=True)
 @click.option("--out-groups", default="groups.json", show_default=True)
 @click.pass_context
@@ -149,8 +149,8 @@ def _load_profile(path) -> nullmodels.ClassroomProfile:
     """The five generator parameters from a JSON object (an optional
     ``schema_version`` key aside); anything else raises ``DataError``."""
     try:
-        raw = json.loads(pathlib.Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"profile {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise DataError(f"profile {path}: expected a JSON object, got {type(raw).__name__}")

@@ -19,7 +19,7 @@ import numpy as np
 from . import communities, nullmodels, scm
 from .recall import RecallMatrix, drop_never_named
 
-METHODS = ("scm-fifty", "scm-profile", "scm-components", "becd")
+METHODS = ("scm-fifty", "scm-components", "becd")
 
 RECORD_FIELDS = (
     "trial",

@@ -2,13 +2,12 @@
 
 A recall matrix holds peer-report data for one classroom: one row per
 child, one column per (anonymous) report, and a 1 wherever a child was
-named in a report. Two on-disk formats are supported: a report-list text
-file (one comma-separated report per line) and a 0/1 matrix CSV.
+named in a report. The on-disk format is a report-list text file: one
+comma-separated report per line.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +66,6 @@ class RecallMatrix:
     def n_reports(self) -> int:
         return self.entries.shape[1]
 
-    def index_of(self, child: str) -> int:
-        return self.children.index(child)
-
 
 def parse_reports(text: str) -> RecallMatrix:
     """Parse report-list text: one report per line, members comma-separated.
@@ -116,49 +112,13 @@ def to_report_lines(rm: RecallMatrix) -> str:
 
 
 def load_reports(path) -> RecallMatrix:
+    """Parse a UTF-8 report-list file; a leading byte-order mark is dropped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return parse_reports(text)
-
-
-def parse_matrix_csv(text: str) -> RecallMatrix:
-    """Parse matrix CSV: header row of report ids, first column child ids, cells "0"/"1"."""
-    rows = [line for line in io.StringIO(text) if line.strip()]
-    if len(rows) < 2:
-        raise DataError("matrix CSV needs a header row and at least one child row")
-    children = []
-    cells = []
-    for raw in rows[1:]:
-        parts = [p.strip() for p in raw.rstrip("\n").split(",")]
-        children.append(parts[0])
-        for cell in parts[1:]:
-            if cell not in ("0", "1"):
-                raise DataError(f"matrix cell must be 0 or 1, got {cell!r}")
-        cells.append([int(c) for c in parts[1:]])
-    widths = {len(r) for r in cells}
-    if len(widths) != 1:
-        raise DataError("ragged matrix CSV")
-    return RecallMatrix(tuple(children), np.array(cells, dtype=np.int8))
-
-
-def load_matrix_csv(path) -> RecallMatrix:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix_csv(text)
-
-
-def to_matrix_csv(rm: RecallMatrix) -> str:
-    header = "child," + ",".join(f"r{j}" for j in range(rm.n_reports))
-    lines = [header]
-    for i, child in enumerate(rm.children):
-        lines.append(child + "," + ",".join(str(int(v)) for v in rm.entries[i]))
-    return "\n".join(lines) + "\n"
 
 
 def validate_scm_limits(rm: RecallMatrix) -> list[str]:

@@ -4,13 +4,11 @@ Steps: co-occurrence projection of the recall matrix, a single pass of
 column correlations, thresholding into a binary peer network, group
 identification, and the membership proportion statistic P.
 
-Two published group-identification rules are implemented (a "connected to
-at least half the group" rule and an incremental correlation-profile
-rule), plus a connected-components baseline. The original software's own
-extraction step is undocumented, so these rules can only approximate it.
-The profile rule's groups are the connected components of the thresholded
-network, ordered by salience, so its P equals the components rule's on
-every classroom.
+Two group-identification rules are implemented: the published "connected
+to at least half the group" rule, and connected components, which are
+also the groups of the published incremental correlation-profile rule.
+The original software's own extraction step is undocumented, so these
+rules can only approximate it.
 """
 
 from __future__ import annotations
@@ -126,8 +124,8 @@ def identify_groups_fifty_percent(
 
     The groups, and so P, depend on the roster order: a seed's growth
     depends on the visit order, whose degree ties roster position breaks,
-    so relabelling the children can change the groups found. The profile
-    and components rules do not depend on it.
+    so relabelling the children can change the groups found. The
+    components rule does not depend on it.
 
     ``net`` must be a symmetric 0/1 matrix with a zero diagonal and one
     row per child, as ``threshold_network`` gives; anything else raises
@@ -193,56 +191,22 @@ def identify_groups_fifty_percent(
     return _finish(children, groups)
 
 
-def _components_in_order(net, children: tuple[str, ...], order) -> GroupAssignment:
-    """Connected components of 2 or more children of a checked peer
-    network, each placed where its first vertex comes in ``order``."""
-    _, labels = connected_components(net, directed=False)
-    groups: dict[int, set[int]] = {}
-    for v in order:
-        groups.setdefault(labels[v], set()).add(v)
-    return _finish(children, [g for g in groups.values() if len(g) >= 2])
-
-
-def identify_groups_profile(
-    sim: np.ndarray,
-    threshold: float,
-    children: tuple[str, ...],
-    salience: np.ndarray,
-) -> GroupAssignment:
-    """Incremental rule: grow a group by adding anyone whose similarity with
-    some current member reaches the threshold.
-
-    Founders are taken in descending-salience order (ties by roster
-    order) among children not yet part of any finished group. Grown to
-    closure, each group is a connected component of
-    ``threshold_network(sim, threshold)``, so groups are disjoint and come
-    in the order of their first member in the founder order. The pipeline
-    passes each child's report count as its salience. ``sim`` must be
-    symmetric with one row per child, ``threshold`` in [0, 1] and
-    ``salience`` one finite real number per child; anything else raises
-    ``ValueError``.
-    """
-    net = _check_peer_network(threshold_network(sim, threshold), children)
-    salience = np.asarray(salience)
-    if salience.shape != (len(children),) or salience.dtype.kind not in "iuf":
-        raise ValueError(
-            f"salience must be {len(children)} real numbers, one per child, "
-            f"got shape {salience.shape} of dtype {salience.dtype}"
-        )
-    salience = salience.astype(np.float64)  # unsigned integers do not negate
-    if not np.isfinite(salience).all():
-        raise ValueError("salience must be finite")
-    order = sorted(range(len(children)), key=lambda i: (-salience[i], i))
-    return _components_in_order(net, children, order)
-
-
 def identify_groups_components(
     net: np.ndarray, children: tuple[str, ...]
 ) -> GroupAssignment:
-    """Baseline rule: connected components of size >= 2, in the order of
-    their smallest member; ``net`` is checked as the fifty rule's is."""
+    """Connected components of size >= 2, in the order of their smallest
+    member; ``net`` is checked as the fifty rule's is.
+
+    This is also the published correlation-profile rule: a founder's group,
+    grown to closure by adding anyone with ``sim >= T`` to some member, is
+    its connected component in ``threshold_network(sim, T)``.
+    """
     net = _check_peer_network(net, children)
-    return _components_in_order(net, children, range(len(children)))
+    _, labels = connected_components(net, directed=False)
+    groups: dict[int, set[int]] = {}
+    for v, label in enumerate(labels):
+        groups.setdefault(label, set()).add(v)
+    return _finish(children, [g for g in groups.values() if len(g) >= 2])
 
 
 def membership_statistic(assignment: GroupAssignment, n_children: int) -> float:
@@ -263,15 +227,9 @@ def scm_groups(
     rule: str = "fifty",
 ) -> tuple[np.ndarray, GroupAssignment]:
     """Run the full pipeline; returns (peer network, group assignment)."""
-    cooc = cooccurrence(rm)
-    sim = similarity(cooc)
-    net = threshold_network(sim, threshold)
+    net = threshold_network(similarity(cooccurrence(rm)), threshold)
     if rule == "fifty":
         assignment = identify_groups_fifty_percent(net, rm.children)
-    elif rule == "profile":
-        assignment = identify_groups_profile(
-            sim, threshold, rm.children, salience=np.diagonal(cooc)
-        )
     elif rule == "components":
         assignment = identify_groups_components(net, rm.children)
     else:

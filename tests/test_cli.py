@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: outputs, manifests, exit codes."""
 
-import csv
 import json
 import os
 import pathlib
@@ -53,10 +52,12 @@ def test_becd_subcommand_outputs(tmp_path, reports_file):
     ("becd", "--restarts", "5"),
     ("becd", "--exact-max-n", "12"),
     ("audit", "--restarts", "5"),
+    ("scm", "--rule", "profile"),
+    ("audit", "--method", "scm-profile"),
 ])
 def test_removed_solver_flags_are_config_errors(tmp_path, reports_file, command, flag, value):
     out = tmp_path / "out"
-    target = [str(reports_file)] if command == "becd" else ["--study", "4a"]
+    target = ["--study", "4a"] if command == "audit" else [str(reports_file)]
     assert main(["--out", str(out), command, *target, flag, value]) == 1
     assert not out.exists()
 
@@ -102,10 +103,11 @@ PROFILE = {
     ({**PROFILE, "n_reports": True}, "n_reports"),
     ({**PROFILE, "nomination_skew": float("nan")}, "nomination_skew"),
     ([1, 2], "JSON object"),
+    (b"\xff{}", "utf-8"),  # not UTF-8
 ])
 def test_simulate_malformed_profile_is_data_error(tmp_path, capsys, payload, key):
     profile = tmp_path / "profile.json"
-    profile.write_text(json.dumps(payload))
+    profile.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     out = tmp_path / "sim"
     assert main(["--out", str(out), "simulate", "--mode", "generate",
                  "--profile", str(profile)]) == 2
@@ -166,21 +168,6 @@ def test_audit_study3_writes_regression(tmp_path):
     reg = json.loads((out / "regression.json").read_text())
     assert len(reg["b"]) == 5
     assert reg["predictor_basis"] == "generator profile parameters"
-
-
-def test_audit_profile_records_equal_components_records(tmp_path):
-    rows = {}
-    for method in ("scm-profile", "scm-components"):
-        out = tmp_path / method
-        assert main(
-            ["--out", str(out), "audit", "--study", "2", "--method", method, "--trials", "30"]
-        ) == 0
-        lines = (out / "records.csv").read_text().splitlines()
-        table = list(csv.reader(line for line in lines if not line.startswith("#")))
-        col = table[0].index("method")
-        rows[method] = [row[:col] + row[col + 1 :] for row in table]
-    assert len(rows["scm-profile"]) == 31
-    assert rows["scm-profile"] == rows["scm-components"]
 
 
 def test_audit_fifty_at_a_threshold_the_similarity_straddles(tmp_path):
@@ -250,10 +237,12 @@ def test_exit_code_missing_input(tmp_path):
     assert main(["--out", str(tmp_path), "scm", str(tmp_path / "nope.txt")]) == 1
 
 
-def test_exit_code_data_error(tmp_path):
+def test_exit_code_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
-    bad.write_text("ana,ana\n")
-    assert main(["--out", str(tmp_path / "o"), "scm", str(bad)]) == 2
+    for content, named in ((b"ana,ana\n", "duplicate"), (b"\xffana,bea\n", "bad.txt")):
+        bad.write_bytes(content)  # a duplicate member; bytes that are not UTF-8
+        assert main(["--out", str(tmp_path / "o"), "scm", str(bad)]) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_exit_code_config_error(tmp_path, reports_file):

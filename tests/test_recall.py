@@ -9,9 +9,7 @@ from peeraudit.recall import (
     drop_never_named,
     load_reports,
     margins,
-    parse_matrix_csv,
     parse_reports,
-    to_matrix_csv,
     to_report_lines,
     validate_scm_limits,
 )
@@ -64,18 +62,21 @@ def test_report_roundtrip_identity():
     assert (again.entries == rm.entries).all()
 
 
-def test_matrix_csv_roundtrip():
-    rm = parse_reports("A,B\nB,C\n")
-    again = parse_matrix_csv(to_matrix_csv(rm))
-    assert again.children == rm.children
-    assert (again.entries == rm.entries).all()
-
-
 def test_load_reports_from_file(tmp_path):
     path = tmp_path / "r.txt"
     path.write_text("A,B\nC,A\n")
     rm = load_reports(path)
     assert rm.n_children == 3 and rm.n_reports == 2
+
+
+def test_load_reports_drops_byte_order_mark(tmp_path):
+    # spreadsheet programs save "CSV UTF-8" with a leading BOM
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("ana,bea\nana,cora\nbea,cora\n", encoding="utf-8")
+    marked.write_text("ana,bea\nana,cora\nbea,cora\n", encoding="utf-8-sig")
+    rm, rm_marked = load_reports(plain), load_reports(marked)
+    assert rm_marked.children == rm.children == ("ana", "bea", "cora")
+    assert np.array_equal(rm_marked.entries, rm.entries)
 
 
 def test_validate_scm_limits_clean():

@@ -16,7 +16,6 @@ from peeraudit.scm import (
     cooccurrence,
     identify_groups_components,
     identify_groups_fifty_percent,
-    identify_groups_profile,
     membership_statistic,
     scm_groups,
     similarity,
@@ -294,119 +293,6 @@ def test_fifty_rejects_non_simple_networks(net, message):
     for rule in (identify_groups_fifty_percent, identify_groups_components):
         with pytest.raises(ValueError, match=message):
             rule(net, _names(3))
-
-
-def test_profile_single_pair():
-    s = np.zeros((3, 3))
-    np.fill_diagonal(s, 1.0)
-    s[0, 1] = s[1, 0] = 0.9
-    assignment = identify_groups_profile(s, 0.4, _names(3), np.ones(3))
-    assert set(assignment.groups) == {frozenset({"v0", "v1"})}
-
-
-def test_profile_everyone_connected():
-    s = np.full((4, 4), 0.5)
-    assignment = identify_groups_profile(s, 0.4, _names(4), np.ones(4))
-    assert set(assignment.groups) == {frozenset(_names(4))}
-
-
-def test_profile_chain_closure():
-    s = np.zeros((3, 3))
-    np.fill_diagonal(s, 1.0)
-    s[0, 1] = s[1, 0] = 0.5
-    s[1, 2] = s[2, 1] = 0.5
-    assignment = identify_groups_profile(s, 0.4, _names(3), np.ones(3))
-    assert set(assignment.groups) == {frozenset({"v0", "v1", "v2"})}
-
-
-@pytest.mark.parametrize("sim, n_children, threshold, message", [
-    (np.zeros((3, 4)), 3, 0.4, "square"),
-    (np.eye(3), 2, 0.4, "rows"),
-    (np.eye(3), 3, 1.5, "threshold"),
-])
-def test_profile_rejects_bad_input(sim, n_children, threshold, message):
-    with pytest.raises(ValueError, match=message):
-        identify_groups_profile(sim, threshold, _names(n_children), np.ones(n_children))
-
-
-@pytest.mark.parametrize("salience, message", [
-    ([1, 2, 3, 4], "one per child"),
-    ([1], "one per child"),
-    ([1, float("nan"), 2], "finite"),
-    ([[1, 2, 3]], "one per child"),
-    (["a", "b", "c"], "real"),
-    ([1, 2j, 3], "real"),
-    ([True, False, True], "real"),
-])
-def test_profile_rejects_bad_salience(salience, message):
-    with pytest.raises(ValueError, match=message):
-        identify_groups_profile(np.full((3, 3), 0.5), 0.4, _names(3), salience=salience)
-
-
-def test_profile_orders_unsigned_salience_as_numbers():
-    sim = np.kron(np.eye(2), np.ones((2, 2)))  # two pairs: {v0, v1} and {v2, v3}
-    for dtype in (np.uint8, np.int64, np.float64):
-        groups = identify_groups_profile(
-            sim, 0.4, _names(4), salience=np.array([0, 0, 5, 5], dtype=dtype)
-        ).groups
-        assert groups == (frozenset({"v2", "v3"}), frozenset({"v0", "v1"}))
-
-
-def _profile_reference(sim, threshold, children, salience):
-    """The profile rule as a closure loop that grows each founder's group."""
-    sim = np.asarray(sim)
-    n = sim.shape[0]
-    salience = np.asarray(salience)
-    order = sorted(range(n), key=lambda i: (-salience[i], i))
-    processed: set[int] = set()
-    groups: list[set[int]] = []
-    for founder in order:
-        if founder in processed:
-            continue
-        group = {founder}
-        grown = True
-        while grown:
-            grown = False
-            for cand in order:
-                if cand in group:
-                    continue
-                if any(sim[cand, member] >= threshold for member in group):
-                    group.add(cand)
-                    grown = True
-        processed |= group
-        if len(group) >= 2:
-            groups.append(group)
-    return _finish(children, groups)
-
-
-def test_profile_matches_reference_on_random_similarities():
-    rng = np.random.default_rng(13)
-    for case in range(300):
-        n = int(rng.integers(1, 41))
-        sim = rng.uniform(-1, 1, size=(n, n))
-        sim = (sim + sim.T) / 2
-        if rng.random() < 0.5:
-            sim = np.round(sim * 1.25, 1).clip(-1, 1)  # values on the threshold grid
-        np.fill_diagonal(sim, 1.0)
-        threshold = [0.0, 1.0, float(rng.integers(0, 11)) / 10, rng.uniform()][case % 4]
-        if case % 3:
-            salience = rng.integers(0, 4, size=n)
-        else:  # thresholded degree
-            salience = (sim >= threshold).sum(axis=1)
-        names = _names(n)
-        assert identify_groups_profile(sim, threshold, names, salience) == _profile_reference(
-            sim, threshold, names, salience
-        )
-
-
-def test_profile_matches_reference_on_classroom_similarities():
-    for rm in _pipeline_classrooms(100, 50):
-        cooc = cooccurrence(rm)
-        sim = similarity(cooc)
-        for threshold in (0.2, 0.4, 0.6):
-            assert identify_groups_profile(
-                sim, threshold, rm.children, salience=np.diagonal(cooc)
-            ) == _profile_reference(sim, threshold, rm.children, salience=np.diagonal(cooc))
 
 
 def test_components_rule():

@@ -146,10 +146,11 @@ def becd_cmd(ctx, reports, alpha, correction, out_pvalues, out_network, out_grou
 
 
 def _load_profile(path) -> nullmodels.ClassroomProfile:
-    """The five generator parameters from a JSON object (an optional
-    ``schema_version`` key aside); anything else raises ``DataError``."""
+    """The five generator parameters from a UTF-8 JSON object (an optional
+    ``schema_version`` key aside; a leading byte-order mark is dropped);
+    anything else raises ``DataError``."""
     try:
-        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(pathlib.Path(path).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"profile {path}: {exc}") from None
     if not isinstance(raw, dict):

@@ -139,6 +139,16 @@ def identify_groups_fifty_percent(
     the two in the visit order is grown, because that copy comes first
     and the later one would be merged into it. The rule, the visit order
     and the groups returned are those of growing every seed.
+
+    Growth is memoized on the member set at the start of each pass. At
+    that point the outsiders tied to the group are exactly the
+    neighbours of the members, so the rest of the seed's growth and its
+    prune depend on the members alone: a seed whose pass starts from a
+    set that an earlier seed's pass started from ends in that seed's
+    group (or is dropped with it), and stops growing there. Each stored
+    key is a distinct pass start, from the second pass on, of a seed
+    that found no stored set, so the memo holds at most one n-bit entry
+    per pass already run: its size is bounded by the time spent.
     """
     net = _check_peer_network(net, children) != 0
     n = net.shape[0]
@@ -148,6 +158,8 @@ def identify_groups_fifty_percent(
     packed = np.packbits(net[np.ix_(order, order)], axis=1, bitorder="little")
     nb = [int.from_bytes(row.tobytes(), "little") for row in packed]
     grown_groups: dict[int, None] = {}  # bitsets in first-seen order
+    # pass-start members -> the seed's final group, or 0 if it was dropped
+    memo: dict[int, int] = {}
     for u in range(n):
         later = nb[u] >> (u + 1) << (u + 1)
         while later:
@@ -157,8 +169,9 @@ def identify_groups_fifty_percent(
             # outsiders tied to the group; no other vertex can ever join
             reach = (nb[u] | nb[v]) & ~members
             size = 2
-            grown = True
-            while grown:
+            starts = []  # this seed's pass starts, from the second pass on
+            group = None
+            while True:
                 # one pass over the outsiders in visit order; those that join
                 # count for the rest of the pass
                 grown = False
@@ -171,22 +184,32 @@ def identify_groups_fifty_percent(
                         reach = (reach | nb[cand]) & ~members
                         size += 1
                         grown = True
-            # prune members no longer tied to half the rest of the group
-            while size >= 2:
-                violators = []
-                rest = members
-                while rest:
-                    m = (rest & -rest).bit_length() - 1
-                    rest ^= 1 << m
-                    links = (nb[m] & members).bit_count()
-                    if 2 * links < size - 1:
-                        violators.append((links, order[m], m))
-                if not violators:
+                if not grown:
                     break
-                members ^= 1 << min(violators)[2]
-                size -= 1
-            if size >= 2:
-                grown_groups.setdefault(members, None)
+                group = memo.get(members)
+                if group is not None:
+                    break
+                starts.append(members)
+            if group is None:
+                # prune members no longer tied to half the rest of the group
+                while size >= 2:
+                    violators = []
+                    rest = members
+                    while rest:
+                        m = (rest & -rest).bit_length() - 1
+                        rest ^= 1 << m
+                        links = (nb[m] & members).bit_count()
+                        if 2 * links < size - 1:
+                            violators.append((links, order[m], m))
+                    if not violators:
+                        break
+                    members ^= 1 << min(violators)[2]
+                    size -= 1
+                group = members if size >= 2 else 0
+                for start in starts:
+                    memo[start] = group
+            if group:
+                grown_groups.setdefault(group, None)
     groups = [{order[m] for m in range(n) if g >> m & 1} for g in grown_groups]
     return _finish(children, groups)
 

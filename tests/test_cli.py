@@ -96,6 +96,21 @@ PROFILE = {
 }
 
 
+def test_simulate_generate_with_byte_order_marked_profile(tmp_path):
+    plain = tmp_path / "profile.json"
+    plain.write_text(json.dumps(PROFILE), encoding="utf-8")
+    marked = tmp_path / "bom_profile.json"
+    marked.write_text(json.dumps(PROFILE), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for profile in (plain, marked):
+        assert main(["--seed", "1", "--out", str(tmp_path / profile.stem), "simulate",
+                     "--mode", "generate", "--profile", str(profile), "--trials", "2"]) == 0
+    for name in ("trial_0000.txt", "trial_0001.txt"):
+        assert (tmp_path / "bom_profile" / name).read_bytes() == (
+            tmp_path / "profile" / name
+        ).read_bytes()
+
+
 @pytest.mark.parametrize("payload, key", [
     ({**PROFILE, "extra": 1}, "extra"),
     ({k: v for k, v in PROFILE.items() if k != "group_size_skew"}, "group_size_skew"),

@@ -1,8 +1,9 @@
 """Command-line interface: scm, becd, simulate, and audit subcommands.
 
-All outputs land in the directory given by ``--out`` (default the current
-directory); every run writes a ``manifest.json`` recording the tool
-version, the full configuration, and the seed. Flags can be supplied via
+All outputs land under fixed names in the directory given by ``--out``
+(default the current directory); every run writes a ``manifest.json``
+recording the tool version, the seed and every flag as parsed. Flag
+values are range-checked before any work starts. Flags can be supplied via
 environment variables prefixed ``PEERAUDIT_`` (e.g. ``PEERAUDIT_SEED``).
 
 Exit codes: 1 configuration error, 2 data error, 3 numerical
@@ -11,6 +12,7 @@ non-convergence.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -27,14 +29,9 @@ from .recall import DataError, load_reports, to_report_lines, validate_scm_limit
 SCHEMA_VERSION = 1
 CSV_HEADER = f"# schema_version={SCHEMA_VERSION}\n"
 
-STUDY_DEFAULT_METHOD = {
-    "1": "scm-fifty",
-    "2": "scm-fifty",
-    "3": "scm-fifty",
-    "4a": "becd",
-    "4b": "becd",
-    "4c": "becd",
-}
+# the studies `audit --study` takes, and the pipeline each audits by default
+STUDY_DEFAULT_METHOD = {"1": "scm-fifty", "2": "scm-fifty", "3": "scm-fifty",
+                        "4a": "becd", "4b": "becd", "4c": "becd"}
 
 
 def _out_dir(ctx) -> pathlib.Path:
@@ -48,25 +45,30 @@ def _write_json(path: pathlib.Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(ctx, out: pathlib.Path, subcommand: str, config: dict) -> None:
+def _write_manifest(ctx, out: pathlib.Path, **resolved) -> None:
+    """Every flag as parsed, updated by ``resolved`` for flags left at None."""
     _write_json(
         out / "manifest.json",
         {
             "tool": "peeraudit",
             "version": __version__,
-            "subcommand": subcommand,
-            "config": config,
+            "subcommand": ctx.info_name,
+            "config": {**ctx.params, **resolved},
             "seed": ctx.obj["seed"],
             "threads": 1,
         },
     )
 
 
-def _matrix_csv(labels, matrix, fmt="%d") -> str:
-    lines = [CSV_HEADER.rstrip("\n"), "," + ",".join(labels)]
-    for name, row in zip(labels, np.asarray(matrix)):
-        lines.append(name + "," + ",".join(fmt % v for v in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(path: pathlib.Path, rows) -> None:
+    with path.open("w", newline="") as f:
+        f.write(CSV_HEADER)
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
+def _write_matrix_csv(path: pathlib.Path, labels, matrix, fmt="%d") -> None:
+    rows = ([name, *(fmt % v for v in row)] for name, row in zip(labels, np.asarray(matrix)))
+    _write_csv(path, [["", *labels], *rows])
 
 
 def _groups_json(assignment: scm.GroupAssignment, p_stat: float) -> dict:
@@ -79,7 +81,7 @@ def _groups_json(assignment: scm.GroupAssignment, p_stat: float) -> dict:
 
 
 @click.group(context_settings={"auto_envvar_prefix": "PEERAUDIT"})
-@click.option("--seed", type=int, default=0, show_default=True, help="Master RNG seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Master RNG seed.")
 @click.option("--threads", type=int, default=1, show_default=True, help="Accepted and ignored: audit trials run in one thread.")
 @click.option("--out", type=click.Path(file_okay=False), default=".", show_default=True, help="Output directory.")
 @click.version_option(__version__)
@@ -94,54 +96,42 @@ def cli(ctx, seed, threads, out):
 
 @cli.command("scm")
 @click.argument("reports", type=click.Path(exists=True, dir_okay=False))
-@click.option("--threshold", type=float, default=scm.DEFAULT_THRESHOLD, show_default=True)
+@click.option("--threshold", type=click.FloatRange(0, 1), default=scm.DEFAULT_THRESHOLD, show_default=True)
 @click.option("--rule", type=click.Choice(["fifty", "components"]), default="fifty", show_default=True)
-@click.option("--out-network", default="network.csv", show_default=True)
-@click.option("--out-groups", default="groups.json", show_default=True)
 @click.pass_context
-def scm_cmd(ctx, reports, threshold, rule, out_network, out_groups):
-    """Run the classic pipeline on a report-list file."""
+def scm_cmd(ctx, reports, threshold, rule):
+    """Run the classic pipeline on a report-list file; writes network.csv
+    and groups.json."""
     rm = load_reports(reports)
     for warning in validate_scm_limits(rm):
         click.echo(f"warning: {warning}", err=True)
     net, assignment = scm.scm_groups(rm, threshold=threshold, rule=rule)
     p_stat = scm.membership_statistic(assignment, rm.n_children)
     out = _out_dir(ctx)
-    (out / out_network).write_text(_matrix_csv(assignment.children, net))
-    _write_json(out / out_groups, _groups_json(assignment, p_stat))
-    _write_manifest(
-        ctx, out, "scm",
-        {"reports": str(reports), "threshold": threshold, "rule": rule,
-         "out_network": out_network, "out_groups": out_groups},
-    )
+    _write_matrix_csv(out / "network.csv", assignment.children, net)
+    _write_json(out / "groups.json", _groups_json(assignment, p_stat))
+    _write_manifest(ctx, out)
     click.echo(f"P = {p_stat:.6g}")
 
 
 @cli.command("becd")
 @click.argument("reports", type=click.Path(exists=True, dir_okay=False))
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--alpha", type=click.FloatRange(0, 1, min_open=True), default=0.05, show_default=True)
 @click.option("--correction", type=click.Choice(["none", "holm"]), default="none", show_default=True)
-@click.option("--out-pvalues", default="pvalues.csv", show_default=True)
-@click.option("--out-network", default="network.csv", show_default=True)
-@click.option("--out-groups", default="groups.json", show_default=True)
 @click.pass_context
-def becd_cmd(ctx, reports, alpha, correction, out_pvalues, out_network, out_groups):
-    """Backbone extraction plus community detection on a report-list file."""
+def becd_cmd(ctx, reports, alpha, correction):
+    """Backbone extraction plus community detection on a report-list file;
+    writes pvalues.csv, network.csv and groups.json."""
     rm = load_reports(reports)
     backbone, _, assignment = communities.becd_groups(
         rm, alpha=alpha, seed=ctx.obj["seed"], correction=correction
     )
     p_stat = scm.membership_statistic(assignment, rm.n_children)
     out = _out_dir(ctx)
-    (out / out_pvalues).write_text(_matrix_csv(rm.children, backbone.pvalues, fmt="%.10g"))
-    (out / out_network).write_text(_matrix_csv(rm.children, backbone.network))
-    _write_json(out / out_groups, _groups_json(assignment, p_stat))
-    _write_manifest(
-        ctx, out, "becd",
-        {"reports": str(reports), "alpha": alpha, "correction": correction,
-         "out_pvalues": out_pvalues, "out_network": out_network,
-         "out_groups": out_groups},
-    )
+    _write_matrix_csv(out / "pvalues.csv", rm.children, backbone.pvalues, fmt="%.10g")
+    _write_matrix_csv(out / "network.csv", rm.children, backbone.network)
+    _write_json(out / "groups.json", _groups_json(assignment, p_stat))
+    _write_manifest(ctx, out)
     click.echo(f"P = {p_stat:.6g}")
 
 
@@ -179,46 +169,45 @@ def _load_profile(path) -> nullmodels.ClassroomProfile:
 @cli.command("simulate")
 @click.option("--mode", type=click.Choice(["shuffle", "generate"]), required=True)
 @click.option("--reports", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Observed report list to shuffle (required for --mode shuffle).")
-@click.option("--profile", "profile_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="JSON with the five generator parameters; omitted = sampled per trial.")
-@click.option("--trials", type=int, default=1, show_default=True)
+              help="Observed report list to shuffle (--mode shuffle only, and required there).")
+@click.option("--profile", type=click.Path(exists=True, dir_okay=False), default=None,
+              help="JSON with the five generator parameters (--mode generate only); omitted = sampled per trial.")
+@click.option("--trials", type=click.IntRange(min=1), default=1, show_default=True)
 @click.pass_context
-def simulate_cmd(ctx, mode, reports, profile_path, trials):
+def simulate_cmd(ctx, mode, reports, profile, trials):
     """Write one null-model report-list file per trial."""
-    if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
     seed = ctx.obj["seed"]
-    out = _out_dir(ctx)
     if mode == "shuffle":
         if reports is None:
             raise click.UsageError("--mode shuffle requires --reports")
+        if profile is not None:
+            raise click.UsageError("--profile applies only to --mode generate")
         rm = load_reports(reports)
         matrices = (
             nullmodels.curveball_randomize(rm, seed=seed + t) for t in range(trials)
         )
     else:
-        fixed = _load_profile(profile_path) if profile_path is not None else None
+        if reports is not None:
+            raise click.UsageError("--reports applies only to --mode shuffle")
+        fixed = _load_profile(profile) if profile is not None else None
         matrices = (
             nullmodels.draw_classroom(np.random.default_rng(seed + t), profile=fixed)[1]
             for t in range(trials)
         )
+    out = _out_dir(ctx)
     for t, matrix in enumerate(matrices):
         (out / f"trial_{t:04d}.txt").write_text(to_report_lines(matrix))
-    _write_manifest(
-        ctx, out, "simulate",
-        {"mode": mode, "reports": reports, "profile": profile_path, "trials": trials},
-    )
+    _write_manifest(ctx, out)
     click.echo(f"wrote {trials} trial file(s) to {out}")
 
 
 @cli.command("audit")
-@click.option("--study", type=click.Choice(["1", "2", "3", "4a", "4b", "4c"]), required=True)
+@click.option("--study", type=click.Choice(list(STUDY_DEFAULT_METHOD)), required=True)
 @click.option("--method", type=click.Choice(experiments.METHODS), default=None,
               help="Pipeline to audit; defaults to the study's own method.")
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--threshold", type=float, default=scm.DEFAULT_THRESHOLD, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
+@click.option("--threshold", type=click.FloatRange(0, 1), default=scm.DEFAULT_THRESHOLD, show_default=True)
+@click.option("--alpha", type=click.FloatRange(0, 1, min_open=True), default=0.05, show_default=True)
 @click.pass_context
 def audit_cmd(ctx, study, method, trials, threshold, alpha):
     """Reproduce one of the four studies on the committed benchmark."""
@@ -250,30 +239,17 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha):
             regression = experiments.ols_regression(records)
     (out / "records.csv").write_text(CSV_HEADER + experiments.records_to_csv(records))
     _write_json(out / "summary.json", {**extra, **summary.__dict__})
-    hist_lines = [CSV_HEADER.rstrip("\n"), "bin_lo,bin_hi,count"]
-    hist_lines += [
-        f"{lo:.2f},{hi:.2f},{count}"
-        for lo, hi, count in experiments.histogram_counts(records)
-    ]
-    (out / "histogram.csv").write_text("\n".join(hist_lines) + "\n")
+    _write_csv(out / "histogram.csv", [
+        ("bin_lo", "bin_hi", "count"),
+        *((f"{lo:.2f}", f"{hi:.2f}", count)
+          for lo, hi, count in experiments.histogram_counts(records)),
+    ])
     if regression is not None:
         _write_json(
             out / "regression.json",
-            {
-                "predictors": list(regression.predictors),
-                "predictor_basis": "generator profile parameters",
-                "intercept": regression.intercept,
-                "b": list(regression.b),
-                "se": list(regression.se),
-                "beta": list(regression.beta),
-                "r_squared": regression.r_squared,
-            },
+            {**dataclasses.asdict(regression), "predictor_basis": "generator profile parameters"},
         )
-    _write_manifest(
-        ctx, out, "audit",
-        {"study": study, "method": method, "trials": trials,
-         "threshold": threshold, "alpha": alpha},
-    )
+    _write_manifest(ctx, out, method=method)
     click.echo(
         f"study {study} ({method}): frac_positive={summary.frac_positive:.4g} "
         f"mean_P={summary.mean_p:.4g}"

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -20,20 +21,6 @@ from . import communities, nullmodels, scm
 from .recall import RecallMatrix, drop_never_named
 
 METHODS = ("scm-fifty", "scm-components", "becd")
-
-RECORD_FIELDS = (
-    "trial",
-    "method",
-    "source",
-    "n_children",
-    "n_reports",
-    "nomination_probability",
-    "nomination_skew",
-    "group_size_skew",
-    "realized_nomination_skew",
-    "realized_group_size_skew",
-    "p_stat",
-)
 
 
 @dataclass(frozen=True)
@@ -119,27 +106,14 @@ def _record(
 ) -> RunRecord:
     rows = rm.entries.sum(axis=1)
     cols = rm.entries.sum(axis=0)
-    return RunRecord(
-        trial=trial,
-        method=method,
-        source=source,
-        n_children=rm.n_children,
-        n_reports=rm.n_reports,
-        nomination_probability=(
-            profile.nomination_probability
-            if profile
-            else float(cols.mean() / rm.n_children)
-        ),
-        nomination_skew=(
-            profile.nomination_skew if profile else _safe_skew(rows)
-        ),
-        group_size_skew=(
-            profile.group_size_skew if profile else _safe_skew(cols)
-        ),
-        realized_nomination_skew=_safe_skew(rows),
-        realized_group_size_skew=_safe_skew(cols),
-        p_stat=p_stat,
-    )
+    realized = (_safe_skew(rows), _safe_skew(cols))
+    if profile is None:
+        targets = (float(cols.mean() / rm.n_children), *realized)
+    else:
+        targets = (profile.nomination_probability, profile.nomination_skew,
+                   profile.group_size_skew)
+    return RunRecord(trial, method, source, rm.n_children, rm.n_reports,
+                     *targets, *realized, p_stat)
 
 
 def _run_trials(worker, n_trials: int, seed: int) -> list[RunRecord]:
@@ -149,6 +123,8 @@ def _run_trials(worker, n_trials: int, seed: int) -> list[RunRecord]:
     code still see what went wrong, and its message gains the trial index
     and seed, enough to replay that one classroom.
     """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
     records = []
     for trial in range(n_trials):
         try:
@@ -169,8 +145,6 @@ def run_shuffle_audit(
 ) -> tuple[list[RunRecord], AuditSummary]:
     """Fixed-margin shuffles of ``rm``, one pipeline run each; trial t
     uses seed ``seed + t``."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     # a curveball keeps every row and column sum, so every trial has the
     # margin fields of ``rm``; each trial sets only its index and its P
     template = _record(0, method, "shuffle", rm, float("nan"))
@@ -196,8 +170,6 @@ def run_profile_audit(
 ) -> tuple[list[RunRecord], AuditSummary]:
     """Synthetic classrooms with profiles drawn uniformly within
     ``nullmodels.PROFILE_BOUNDS``."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
 
     def worker(trial: int) -> RunRecord:
         profile, rm = nullmodels.draw_classroom(np.random.default_rng(seed + trial))
@@ -317,23 +289,12 @@ def block_agreement(
 
 
 def records_to_csv(records: list[RunRecord]) -> str:
+    """A header of ``RunRecord``'s field names, then one row per record."""
+    names = [f.name for f in fields(RunRecord)]
+    values = attrgetter(*names)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORD_FIELDS)
+    writer.writerow(names)
     for r in records:
-        writer.writerow(
-            [
-                r.trial,
-                r.method,
-                r.source,
-                r.n_children,
-                r.n_reports,
-                f"{r.nomination_probability:.10g}",
-                f"{r.nomination_skew:.10g}",
-                f"{r.group_size_skew:.10g}",
-                f"{r.realized_nomination_skew:.10g}",
-                f"{r.realized_group_size_skew:.10g}",
-                f"{r.p_stat:.10g}",
-            ]
-        )
+        writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in values(r)])
     return buf.getvalue()

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, manifests, exit codes."""
 
+import csv
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import pytest
 import peeraudit
 from peeraudit import nullmodels
 from peeraudit.backbone import ConvergenceError
-from peeraudit.cli import main
+from peeraudit.cli import cli, main
 from peeraudit.recall import DataError
 
 REPORTS = "ana,bea,cora\nana,bea,cora\nana,bea\ndina,eve\ndina,eve,fay\ndina,eve,fay\n"
@@ -54,6 +55,9 @@ def test_becd_subcommand_outputs(tmp_path, reports_file):
     ("audit", "--restarts", "5"),
     ("scm", "--rule", "profile"),
     ("audit", "--method", "scm-profile"),
+    ("scm", "--out-network", "x.csv"),
+    ("becd", "--out-pvalues", "x.csv"),
+    ("becd", "--out-groups", "x.json"),
 ])
 def test_removed_solver_flags_are_config_errors(tmp_path, reports_file, command, flag, value):
     out = tmp_path / "out"
@@ -150,6 +154,18 @@ def test_simulate_shuffle_requires_reports(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("mode, ignored", [("shuffle", "--profile"), ("generate", "--reports")])
+def test_simulate_rejects_a_file_its_mode_ignores(tmp_path, reports_file, capsys, mode, ignored):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(PROFILE))
+    needed = ["--reports", str(reports_file)] if mode == "shuffle" else []
+    path = {"--profile": profile, "--reports": reports_file}[ignored]
+    out = tmp_path / "sim"
+    assert main(["--out", str(out), "simulate", "--mode", mode, *needed, ignored, str(path)]) == 1
+    assert ignored in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audit_study2_row_count(tmp_path):
     out = tmp_path / "audit"
     code = main(
@@ -171,6 +187,14 @@ def test_audit_study1_reports_agreement(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mean_p"] == 1.0
     assert summary["agreement"] >= 0.95
+    # the columns follow RunRecord's field order, so reordering it shows here
+    assert (out / "records.csv").read_text() == (
+        "# schema_version=1\n"
+        "trial,method,source,n_children,n_reports,nomination_probability,nomination_skew,"
+        "group_size_skew,realized_nomination_skew,realized_group_size_skew,p_stat\n"
+        "0,scm-fifty,benchmark,26,61,0.1658259773,-0.05042429282,0.439115706,"
+        "-0.05042429282,0.439115706,1\n"
+    )
 
 
 def test_audit_study3_writes_regression(tmp_path):
@@ -220,12 +244,21 @@ def test_threads_accepted_and_ignored(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["threads"] == 1
 
 
-def test_audit_study3_rejects_too_few_trials_before_any_trial(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["audit", "--study", "3", "--trials", "5"],
+    ["audit", "--study", "3", "--trials", "10", "--threshold", "1.5"],
+    ["audit", "--study", "3", "--trials", "10", "--alpha", "0"],
+    ["--seed", "-1", "audit", "--study", "3", "--trials", "10"],
+    ["audit", "--study", "3", "--trials", "0"],
+], ids=["study3-trials-5", "threshold-1.5", "alpha-0", "seed--1", "trials-0"])
+def test_audit_bad_values_stop_before_any_trial(tmp_path, monkeypatch, argv):
     def never(*args, **kwargs):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(nullmodels, "generate_classroom", never)
-    assert main(["--out", str(tmp_path / "o"), "audit", "--study", "3", "--trials", "5"]) == 1
+    out = tmp_path / "o"
+    assert main(["--out", str(out), *argv]) == 1
+    assert not out.exists()
 
 
 def test_reproducible_byte_identical_outputs(tmp_path):
@@ -246,6 +279,34 @@ def test_writes_stay_inside_out_dir(tmp_path, reports_file, monkeypatch):
     out = tmp_path / "only_here"
     assert main(["--out", str(out), "scm", str(reports_file)]) == 0
     assert list(workdir.iterdir()) == []
+
+
+def test_network_csv_keeps_a_child_id_with_a_quote(tmp_path):
+    reports = tmp_path / "reports.txt"
+    reports.write_text(REPORTS.replace("ana", '"ana'))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "scm", str(reports)]) == 0
+    schema, *lines = (out / "network.csv").read_text().splitlines()
+    assert schema == "# schema_version=1"
+    header, *rows = csv.reader(lines)
+    children = ['"ana', "bea", "cora", "dina", "eve", "fay"]
+    assert header == ["", *children]
+    assert [row[0] for row in rows] == children
+
+
+def test_manifest_config_records_every_parameter(tmp_path, reports_file):
+    for name, args in [
+        ("scm", [str(reports_file)]),
+        ("becd", [str(reports_file)]),
+        ("simulate", ["--mode", "generate"]),
+        ("audit", ["--study", "1"]),
+    ]:
+        out = tmp_path / name
+        assert main(["--out", str(out), name, *args]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == name
+        assert set(manifest["config"]) == {p.name for p in cli.commands[name].params}
+    assert manifest["config"]["method"] == "scm-fifty"  # audit's default, as resolved
 
 
 def test_exit_code_missing_input(tmp_path):

@@ -1,5 +1,5 @@
-"""The numerical kernels: Poisson-binomial upper tails and the exact
-modularity DP.
+"""The numerical kernels: Poisson-binomial upper tails, the exact
+modularity DP and row bitsets.
 
 The dyad p-values and ``backbone.poisson_binomial_upper_tail`` run one
 survival recursion, ``_upper_tails`` (Hong, CSDA 2013, for background):
@@ -18,6 +18,12 @@ import numpy as np
 
 # the only backend, kept as a name that provenance records can report
 BACKEND = "python"
+
+
+def bitset_rows(matrix) -> list[int]:
+    """Row i as a Python int whose bit c is set when matrix[i, c] != 0."""
+    packed = np.packbits(np.asarray(matrix) != 0, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _upper_tails(probs: np.ndarray, observed: np.ndarray) -> np.ndarray:
@@ -90,7 +96,7 @@ def exact_partition_dp(
     # built incrementally from the subset minus its lowest bit
     in2 = np.zeros(full)
     dsum = np.zeros(full)
-    adj_rows = [int(sum(1 << j for j in np.flatnonzero(adj[i]))) for i in range(n)]
+    adj_rows = bitset_rows(adj)
     for s in range(1, full):
         v = (s & -s).bit_length() - 1
         rest = s & (s - 1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ._kernels import _upper_tails
 from ._kernels import dyad_pvalues as _dyad_pvalues
@@ -96,10 +95,7 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
             y = ct / (x[:, None] / denom).sum(axis=0)
             probs = np.outer(x, y)
             probs /= 1.0 + probs
-            err = max(
-                np.abs(probs.sum(axis=1) - rt).max(),
-                np.abs(probs.sum(axis=0) - ct).max(),
-            )
+            err = _margin_error(probs, rt, ct)
             if err < MARGIN_TOL:
                 break
             if it % 100 == 99:  # stalled iteration: switch to Newton
@@ -107,44 +103,40 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
                     break
                 checkpoint = err
         if err >= MARGIN_TOL:
-            x, y = _newton_multipliers(rt, ct, x, y)
-            probs = np.outer(x, y)
-            probs /= 1.0 + probs
-            err = max(
-                np.abs(probs.sum(axis=1) - rt).max(),
-                np.abs(probs.sum(axis=0) - ct).max(),
-            )
+            probs = _newton_multipliers(rt, ct, x, y)
+            err = _margin_error(probs, rt, ct)
             if err >= MARGIN_TOL:
                 raise ConvergenceError(f"margin residual {err:.3e}")
         p[np.ix_(ri, ci)] = probs
-    resid = max(
-        np.abs(p.sum(axis=1) - r.sum(axis=1)).max(),
-        np.abs(p.sum(axis=0) - r.sum(axis=0)).max(),
-    )
+    resid = _margin_error(p, r.sum(axis=1), r.sum(axis=0))
     if resid > 10 * MARGIN_TOL:
         raise ConvergenceError(f"margin residual {resid:.3e} after peeling")
     return p
 
 
+def _margin_error(probs, row_sums, col_sums) -> float:
+    return max(
+        np.abs(probs.sum(axis=1) - row_sums).max(),
+        np.abs(probs.sum(axis=0) - col_sums).max(),
+    )
+
+
 def _newton_multipliers(rt, ct, x0, y0):
-    """Solve the margin equations by Newton's method on log-multipliers.
+    """Solve the margin equations by Newton's method on log-multipliers
+    and return the cell probabilities.
 
     Robust fallback for margins where the fixed point crawls. The scale
     gauge (x -> cx, y -> y/c) is fixed by freezing the first column
-    multiplier and dropping its (redundant) equation.
+    multiplier and dropping its (redundant) equation. Steps are halved until
+    the residual falls, for at most 100 steps; the caller checks the margins.
     """
     n, m = x0.size, y0.size
-    ly0 = np.log(y0[0])
-
-    def unpack(theta):
-        x = np.exp(theta[:n])
-        y = np.empty(m)
-        y[0] = np.exp(ly0)
-        y[1:] = np.exp(theta[n:])
-        return x, y
 
     def fun_jac(theta):
-        x, y = unpack(theta)
+        x = np.exp(theta[:n])
+        y = np.empty(m)
+        y[0] = y0[0]
+        y[1:] = np.exp(theta[n:])
         probs = np.outer(x, y)
         probs /= 1.0 + probs
         f = np.concatenate(
@@ -156,11 +148,26 @@ def _newton_multipliers(rt, ct, x0, y0):
         jac[:n, n:] = w[:, 1:]
         jac[n:, :n] = w[:, 1:].T
         jac[n:, n:] = np.diag(w[:, 1:].sum(axis=0))
-        return f, jac
+        return f, jac, probs
 
-    theta0 = np.concatenate([np.log(x0), np.log(y0[1:])])
-    sol = optimize.root(fun_jac, theta0, jac=True, method="hybr")
-    return unpack(sol.x)
+    theta = np.concatenate([np.log(x0), np.log(y0[1:])])
+    f, jac, probs = fun_jac(theta)
+    for _ in range(100):
+        resid = np.abs(f).max()
+        if resid < MARGIN_TOL / 1000:
+            break
+        try:
+            step = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError:
+            break
+        for scale in 0.5 ** np.arange(50):
+            trial = fun_jac(theta - scale * step)
+            if np.abs(trial[0]).max() < resid:
+                break
+        else:
+            break
+        theta, (f, jac, probs) = theta - scale * step, trial
+    return probs
 
 
 def poisson_binomial_upper_tail(probs, observed: int) -> float:
@@ -180,10 +187,7 @@ def holm_adjust(pvals: np.ndarray) -> np.ndarray:
     k = pvals.size
     order = np.argsort(pvals, kind="stable")
     adjusted = np.empty(k)
-    running = 0.0
-    for rank, idx in enumerate(order):
-        running = max(running, (k - rank) * pvals[idx])
-        adjusted[idx] = min(running, 1.0)
+    adjusted[order] = np.minimum(np.maximum.accumulate((k - np.arange(k)) * pvals[order]), 1.0)
     return adjusted
 
 

@@ -42,7 +42,7 @@ def _out_dir(ctx) -> pathlib.Path:
 
 def _write_json(path: pathlib.Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_manifest(ctx, out: pathlib.Path, **resolved) -> None:
@@ -61,7 +61,7 @@ def _write_manifest(ctx, out: pathlib.Path, **resolved) -> None:
 
 
 def _write_csv(path: pathlib.Path, rows) -> None:
-    with path.open("w", newline="") as f:
+    with path.open("w", newline="", encoding="utf-8") as f:
         f.write(CSV_HEADER)
         csv.writer(f, lineterminator="\n").writerows(rows)
 
@@ -196,7 +196,7 @@ def simulate_cmd(ctx, mode, reports, profile, trials):
         )
     out = _out_dir(ctx)
     for t, matrix in enumerate(matrices):
-        (out / f"trial_{t:04d}.txt").write_text(to_report_lines(matrix))
+        (out / f"trial_{t:04d}.txt").write_text(to_report_lines(matrix), encoding="utf-8")
     _write_manifest(ctx, out)
     click.echo(f"wrote {trials} trial file(s) to {out}")
 
@@ -237,7 +237,7 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha):
         records, summary = experiments.run_profile_audit(method, trials, seed=seed, **kwargs)
         if study == "3":
             regression = experiments.ols_regression(records)
-    (out / "records.csv").write_text(CSV_HEADER + experiments.records_to_csv(records))
+    (out / "records.csv").write_text(CSV_HEADER + experiments.records_to_csv(records), encoding="utf-8")
     _write_json(out / "summary.json", {**extra, **summary.__dict__})
     _write_csv(out / "histogram.csv", [
         ("bin_lo", "bin_hi", "count"),

@@ -15,13 +15,12 @@ pipeline.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from ._kernels import exact_partition_dp
 from .backbone import BackboneResult, extract_backbone
 from .nullmodels import as_rng
 from .recall import RecallMatrix
-from .scm import GroupAssignment
+from .scm import GroupAssignment, component_members
 
 DEFAULT_RESTARTS = 50
 EXACT_MAX_N = 12
@@ -113,15 +112,13 @@ def _louvain(net: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _exact_by_component(net: np.ndarray):
     """Exact optimum as the union of per-component optima, scored against
     the whole network's 2m; None if a component exceeds ``EXACT_MAX_N``."""
-    n_comp, comp = connected_components(net != 0, directed=False)
-    sizes = np.bincount(comp, minlength=n_comp)
-    if sizes.max(initial=0) > EXACT_MAX_N:
+    components = component_members(net)
+    if max(map(len, components), default=0) > EXACT_MAX_N:
         return None
     two_m = float(net.sum())
     labels = np.arange(net.shape[0])  # isolated vertices stay singletons
     q = 0.0
-    for c in np.flatnonzero(sizes >= 2):
-        members = np.flatnonzero(comp == c)
+    for members in (np.array(c) for c in components if len(c) >= 2):
         sub_labels, sub_q = exact_partition_dp(
             net[np.ix_(members, members)], two_m=two_m
         )

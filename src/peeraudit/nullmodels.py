@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._kernels import bitset_rows
 from .recall import DataError, RecallMatrix
 
 # Ranges of the profiles that sample_profile draws uniformly. The largest
@@ -112,8 +112,7 @@ def curveball_randomize(
     if n < 2 or n_trades == 0:
         return RecallMatrix(rm.children, rm.entries.copy())
     n_bytes = (m + 7) // 8
-    packed = np.packbits(rm.entries, axis=1, bitorder="little")
-    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    rows = bitset_rows(rm.entries)
     for _ in range(n_trades):
         i, j = rng.choice(n, size=2, replace=False).tolist()
         a, b = rows[i], rows[j]
@@ -139,38 +138,30 @@ def curveball_randomize(
     return RecallMatrix(rm.children, entries.view(np.int8))
 
 
-def _beta_skew(mean: float, conc: float) -> float:
-    a = mean * conc
-    b = (1.0 - mean) * conc
-    return 2.0 * (b - a) * np.sqrt(a + b + 1.0) / ((a + b + 2.0) * np.sqrt(a * b))
-
-
 def _solve_concentration(mean: float, target_skew: float) -> float:
-    """Concentration of a Beta with the given mean whose skewness is as
-    close as possible to the target (clamped to a stable range)."""
+    """Concentration c of a Beta with the given mean whose skewness is as
+    close as possible to the target (clamped to a stable range). The
+    skewness is a w / (w**2 + 1) with a = 2 (1 - 2 mean) / sqrt(mean (1 - mean))
+    and w = sqrt(c + 1); its size falls from |a| / 2 as c grows from 0, so
+    w is the larger root of t w**2 - w + t = 0, t = |target / a|.
+    """
     lo, hi = _CONCENTRATION_RANGE
-    achievable_sign = np.sign(1.0 - 2.0 * mean)
-    if target_skew == 0.0 or achievable_sign == 0 or np.sign(target_skew) != achievable_sign:
+    if not target_skew * (1.0 - 2.0 * mean) > 0.0:
         return hi  # skew -> 0 as concentration grows; closest we can get
-    f = lambda conc: abs(_beta_skew(mean, conc)) - abs(target_skew)
-    if f(lo) <= 0.0:
-        return lo
-    if f(hi) >= 0.0:
-        return hi
-    return float(optimize.brentq(f, lo, hi, xtol=1e-10))
+    t = abs(target_skew * np.sqrt(mean * (1.0 - mean)) / (2.0 * (1.0 - 2.0 * mean)))
+    # for t >= 1/2 (beyond the skew of any c) this gives w <= 1, so c = lo
+    w = (1.0 + np.sqrt(max(1.0 - 4.0 * t * t, 0.0))) / (2.0 * t)
+    return float(np.clip(w * w - 1.0, lo, hi))
 
 
 def _solve_mean_for_skew(target_skew: float) -> float:
-    """Mean of a Beta with concentration ``_SALIENCE_CONCENTRATION`` hitting
-    the target skewness.
-
-    Skewness decreases monotonically from +inf to -inf as the mean runs
-    over (0, 1), so any target is reachable.
-    """
-    if target_skew == 0.0:
-        return 0.5
-    f = lambda mean: _beta_skew(mean, _SALIENCE_CONCENTRATION) - target_skew
-    return float(optimize.brentq(f, 1e-4, 1.0 - 1e-4, xtol=1e-12))
+    """Mean of a Beta with concentration c = ``_SALIENCE_CONCENTRATION`` and
+    the target skewness, 2 sqrt(c + 1) / (c + 2) times (1 - 2 mean) /
+    sqrt(mean (1 - mean)); that factor falls from +inf to -inf over (0, 1),
+    so any target is reachable, and equals the k below at the mean returned."""
+    c = _SALIENCE_CONCENTRATION
+    k = target_skew * (c + 2.0) / (2.0 * np.sqrt(c + 1.0))
+    return float(0.5 - 0.5 * k / np.sqrt(4.0 + k * k))
 
 
 def _subset_weight_table(odds: np.ndarray, max_size: int) -> np.ndarray:

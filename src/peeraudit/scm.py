@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
+from ._kernels import bitset_rows
 from .recall import RecallMatrix
 
 DEFAULT_THRESHOLD = 0.4
@@ -155,8 +155,7 @@ def identify_groups_fifty_percent(
     deg = net.sum(axis=1)
     order = sorted(range(n), key=lambda i: (-deg[i], i))
     # row r, bit s: the vertices r-th and s-th in the visit order are tied
-    packed = np.packbits(net[np.ix_(order, order)], axis=1, bitorder="little")
-    nb = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    nb = bitset_rows(net[np.ix_(order, order)])
     grown_groups: dict[int, None] = {}  # bitsets in first-seen order
     # pass-start members -> the seed's final group, or 0 if it was dropped
     memo: dict[int, int] = {}
@@ -214,6 +213,26 @@ def identify_groups_fifty_percent(
     return _finish(children, groups)
 
 
+def component_members(net) -> list[list[int]]:
+    """Each connected component's vertices, ascending, components in the
+    order of their smallest vertex; ``net`` must be symmetric."""
+    nb = bitset_rows(net)
+    unseen = (1 << len(nb)) - 1
+    components = []
+    while unseen:
+        members = [(unseen & -unseen).bit_length() - 1]
+        comp = 1 << members[0]
+        for v in members:  # the list grows as the search reaches new vertices
+            new = nb[v] & ~comp
+            comp |= new
+            while new:
+                members.append((new & -new).bit_length() - 1)
+                new &= new - 1
+        unseen ^= comp
+        components.append(sorted(members))
+    return components
+
+
 def identify_groups_components(
     net: np.ndarray, children: tuple[str, ...]
 ) -> GroupAssignment:
@@ -225,11 +244,7 @@ def identify_groups_components(
     its connected component in ``threshold_network(sim, T)``.
     """
     net = _check_peer_network(net, children)
-    _, labels = connected_components(net, directed=False)
-    groups: dict[int, set[int]] = {}
-    for v, label in enumerate(labels):
-        groups.setdefault(label, set()).add(v)
-    return _finish(children, [g for g in groups.values() if len(g) >= 2])
+    return _finish(children, [c for c in component_members(net) if len(c) >= 2])
 
 
 def membership_statistic(assignment: GroupAssignment, n_children: int) -> float:

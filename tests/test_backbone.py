@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from peeraudit import backbone
 from peeraudit.backbone import (
+    MARGIN_TOL,
+    ConvergenceError,
     extract_backbone,
     fit_bicm,
     holm_adjust,
     poisson_binomial_upper_tail,
 )
 from peeraudit._kernels import dyad_pvalues
+from peeraudit.nullmodels import draw_classroom
 from peeraudit.recall import RecallMatrix
 from peeraudit.scm import cooccurrence
 
@@ -55,6 +59,36 @@ def test_fit_rejects_bad_input():
         fit_bicm(np.array([[0.5]]))
     with pytest.raises(ValueError):
         fit_bicm(np.zeros((2, 2)))
+
+
+def _fallback_classroom():
+    # a generated classroom whose fixed-point iteration stalls above MARGIN_TOL
+    return draw_classroom(np.random.default_rng(852))[1].entries
+
+
+def test_fit_newton_fallback_reaches_the_margins(monkeypatch):
+    calls = []
+    newton = backbone._newton_multipliers
+
+    def spy(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(backbone, "_newton_multipliers", spy)
+    r = _fallback_classroom()
+    p = fit_bicm(r)
+    assert len(calls) == 1
+    assert np.abs(p.sum(axis=1) - r.sum(axis=1)).max() < MARGIN_TOL
+    assert np.abs(p.sum(axis=0) - r.sum(axis=0)).max() < MARGIN_TOL
+
+
+def test_fit_singular_newton_step_is_a_convergence_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ConvergenceError, match="margin residual"):
+        fit_bicm(_fallback_classroom())
 
 
 # --- Poisson binomial -----------------------------------------------------
@@ -142,6 +176,28 @@ def test_tail_input_validation():
 def test_holm_adjust_known_case():
     adj = holm_adjust(np.array([0.01, 0.04, 0.03, 0.005]))
     assert np.allclose(adj, [0.03, 0.06, 0.06, 0.02])
+
+
+def _holm_reference(pvals):
+    """Holm step-down, one dyad at a time in ascending p order."""
+    k = pvals.size
+    adjusted = np.empty(k)
+    running = 0.0
+    for rank, idx in enumerate(np.argsort(pvals, kind="stable")):
+        running = max(running, (k - rank) * pvals[idx])
+        adjusted[idx] = min(running, 1.0)
+    return adjusted
+
+
+def test_holm_adjust_matches_reference_bitwise():
+    rng = np.random.default_rng(15)
+    for k in [0, 1, 2, 7, 300, 5000]:
+        pvals = rng.random(k) ** 3
+        # ties, exact zeros and ones, as dyads that never co-occur give
+        pvals[rng.random(k) < 0.3] = 1.0
+        pvals[rng.random(k) < 0.05] = 0.0
+        pvals[rng.random(k) < 0.2] = pvals[0] if k else 0.0
+        assert holm_adjust(pvals).tobytes() == _holm_reference(pvals).tobytes()
 
 
 # --- extract_backbone -----------------------------------------------------

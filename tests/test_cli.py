@@ -335,15 +335,51 @@ def test_env_var_override(tmp_path, reports_file, monkeypatch):
     assert (out / "groups.json").exists()
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats takes about half a second to import and nothing needs it
+def _run_python(code, *args, **env):
+    """``python -c code *args`` with this package importable and ``env`` set."""
     path = [str(pathlib.Path(peeraudit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    code = (
-        "import sys, peeraudit.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **env}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.strip()
-    assert loaded == "[]"
+
+
+def test_cli_runs_without_scipy(tmp_path, reports_file):
+    # SciPy is a test-only dependency: importing the CLI and running each
+    # pipeline and a generated-classroom audit loads no scipy module
+    code = (
+        "import sys\n"
+        "from peeraudit.cli import main\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = [scipy()]\n"
+        "out, reports = sys.argv[1:]\n"
+        "for args in (['scm', reports], ['becd', reports],\n"
+        "             ['audit', '--study', '4c', '--trials', '1']):\n"
+        "    assert main(['--out', out, *args]) == 0\n"
+        "    loaded.append(scipy())\n"
+        "print(loaded)\n"
+    )
+    run = _run_python(code, str(tmp_path / "out"), str(reports_file))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[[], [], [], []]"
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    reports = tmp_path / "reports.txt"
+    reports.write_text(REPORTS.replace("ana", "zoë"), encoding="utf-8")
+    out = tmp_path / "out"
+    code = (
+        "import locale, sys\n"
+        "from peeraudit.cli import main\n"
+        "print(locale.getpreferredencoding(False), file=sys.stderr)\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    run = _run_python(code, "--out", str(out), "scm", str(reports),
+                      LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert "utf" not in run.stderr.splitlines()[0].lower()
+    assert run.returncode == 0, run.stderr
+    with (out / "network.csv").open(encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[1] == ["", "zoë", "bea", "cora", "dina", "eve", "fay"]
+    groups = json.loads((out / "groups.json").read_text(encoding="utf-8"))
+    assert ["bea", "cora", "zoë"] in groups["groups"]

@@ -1,12 +1,13 @@
 """Fixed-margin shuffles and the synthetic classroom generator."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
 
 from peeraudit import nullmodels
 from peeraudit.datasets import load_benchmark
@@ -296,6 +297,76 @@ def test_draw_classroom_fixed_profile():
     assert np.array_equal(rm.entries, generate_classroom(profile, seed=4).entries)
     with pytest.raises(InfeasibleProfileError):
         draw_classroom(np.random.default_rng(4), profile=ClassroomProfile(40, 10, 0.9, 0.0, 0.0))
+
+
+def _beta_skew(mean, conc):
+    a, b = mean * conc, (1.0 - mean) * conc
+    return 2.0 * (b - a) * np.sqrt(a + b + 1.0) / ((a + b + 2.0) * np.sqrt(a * b))
+
+
+# the root-finds that the closed forms replace; their xtol is tighter than
+# the generator's old one, so their own error is far below the tolerance
+def _concentration_by_brentq(mean, target_skew):
+    lo, hi = nullmodels._CONCENTRATION_RANGE
+    sign = np.sign(1.0 - 2.0 * mean)
+    if target_skew == 0.0 or sign == 0 or np.sign(target_skew) != sign:
+        return hi
+    f = lambda conc: abs(_beta_skew(mean, conc)) - abs(target_skew)
+    if f(lo) <= 0.0:
+        return lo
+    if f(hi) >= 0.0:
+        return hi
+    return optimize.brentq(f, lo, hi, xtol=1e-14)
+
+
+def _mean_by_brentq(target_skew):
+    f = lambda mean: _beta_skew(mean, nullmodels._SALIENCE_CONCENTRATION) - target_skew
+    return optimize.brentq(f, 1e-4, 1.0 - 1e-4, xtol=1e-15)
+
+
+def test_concentration_closed_form_matches_root_find():
+    lo, hi = nullmodels._CONCENTRATION_RANGE
+    targets = np.concatenate([np.linspace(-4, 4, 81), [-50, -1e-6, 1e-6, 50]])
+    clamped = {lo: 0, hi: 0}
+    for mean in np.linspace(0.02, 0.98, 49):
+        for target in targets:
+            expected = _concentration_by_brentq(mean, target)
+            got = nullmodels._solve_concentration(mean, target)
+            if expected in clamped:
+                assert got == expected, (mean, target)
+                clamped[expected] += 1
+            else:
+                assert got == pytest.approx(expected, rel=1e-9, abs=0), (mean, target)
+                assert abs(_beta_skew(mean, got)) == pytest.approx(abs(target), rel=1e-9)
+    assert min(clamped.values()) > 100
+
+
+def test_mean_closed_form_matches_root_find():
+    bracketed = 0
+    for target in np.linspace(-80, 80, 321):
+        got = nullmodels._solve_mean_for_skew(target)
+        try:
+            expected = _mean_by_brentq(target)
+        except ValueError:  # outside the old bracket [1e-4, 1 - 1e-4]
+            assert (got < 1e-4) if target > 0 else (got > 1.0 - 1e-4), target
+            continue
+        bracketed += 1
+        assert got == pytest.approx(expected, rel=1e-9, abs=0), target
+    assert bracketed > 250
+    assert nullmodels._solve_mean_for_skew(0.0) == 0.5
+
+
+def test_generate_extreme_nomination_skew():
+    # the root-find this replaced had no root in its bracket here and
+    # raised "f(a) and f(b) must have different signs"
+    profile = ClassroomProfile(26, 61, 0.3, 100.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rm = generate_classroom(profile, seed=0)
+    assert rm.entries.shape == (26, 61)
+    assert rm.entries.sum(axis=0).max() <= MAX_REPORT_SIZE
+    # one child holds nearly all the salience weight: every report names it
+    assert rm.entries.sum(axis=1).max() == profile.n_reports
 
 
 def _fixed_size_weighted_sample(

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from peeraudit._kernels import bitset_rows
 from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import curveball_randomize, draw_classroom
 from peeraudit.recall import RecallMatrix, parse_reports
 from peeraudit.scm import (
     GroupAssignment,
     _finish,
+    component_members,
     cooccurrence,
     identify_groups_components,
     identify_groups_fifty_percent,
@@ -338,6 +341,33 @@ def test_components_match_search_on_random_networks():
         net = _random_network(rng, int(rng.integers(1, 30)), rng.uniform(0.0, 0.3))
         names = _names(net.shape[0])
         assert identify_groups_components(net, names) == _components_reference(net, names)
+
+
+def test_bitset_rows_set_the_nonzero_columns():
+    rng = np.random.default_rng(3)
+    for n, m in [(1, 1), (3, 0), (4, 7), (5, 8), (6, 9), (2, 130)]:
+        matrix = (rng.random((n, m)) < 0.4) * rng.integers(1, 4, size=(n, m))
+        expected = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in matrix]
+        assert bitset_rows(matrix) == expected
+        assert bitset_rows(matrix.astype(float)) == expected
+
+
+def test_component_members_match_scipy():
+    rng = np.random.default_rng(13)
+    nets = [np.zeros((1, 1), dtype=np.int8), np.zeros((5, 5), dtype=np.int8)]
+    nets += [_random_network(rng, int(rng.integers(1, 70)), rng.uniform(0.0, 0.15))
+             for _ in range(400)]
+    perm = rng.permutation(300)  # a path visited in shuffled vertex order
+    path = np.zeros((300, 300), dtype=np.int8)
+    path[perm[:-1], perm[1:]] = path[perm[1:], perm[:-1]] = 1
+    nets.append(path)
+    n_isolated = 0
+    for net in nets:
+        n_comp, labels = connected_components(net, directed=False)
+        expected = [np.flatnonzero(labels == c).tolist() for c in range(n_comp)]
+        assert component_members(net) == expected
+        n_isolated += sum(len(c) == 1 for c in expected)
+    assert n_isolated > 1000
 
 
 # --- P statistic ----------------------------------------------------------

@@ -9,7 +9,8 @@ trials,
     S_k(t) = p_k S_{k-1}(t-1) + (1 - p_k) S_{k-1}(t),  S_k(0) = 1.
 
 Every term is a nonnegative sum, so nothing cancels and small tails keep
-their relative precision.
+their relative precision. The recursion runs once per distinct column of
+trials: ``dyad_pvalues`` groups dyads whose trials are bitwise equal.
 """
 
 from __future__ import annotations
@@ -26,14 +27,17 @@ def bitset_rows(matrix) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _upper_tails(probs: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """P(X_d >= observed[d]) for every column d of ``probs`` (m, d), where
-    X_d is a sum of independent Bernoulli(probs[:, d]) trials.
+def _upper_tails(probs: np.ndarray, observed: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """P(X_c >= observed[k]) with c = column[k], for every k, where X_c is
+    a sum of independent Bernoulli(probs[:, c]) trials and ``probs`` is
+    (m, d).
 
     All columns run in lockstep, one vectorized step per trial. Only
     S(0..max(observed)) is kept, and step k touches only the S(t) with
     t <= k + 1 that can be nonzero. An observed count above m is read from
-    S(m + 1), which no step touches and so stays 0.
+    S(m + 1), which no step touches and so stays 0. A column's S(t) does
+    not depend on how far the table reaches above t, so many reads of one
+    column cost one column of the recursion.
     """
     m, d = probs.shape
     observed = np.clip(observed, 0, m + 1)
@@ -47,7 +51,7 @@ def _upper_tails(probs: np.ndarray, observed: np.ndarray) -> np.ndarray:
         np.multiply(surv[:hi], probs[k], out=shifted[:hi])
         surv[1 : hi + 1] *= complement[k]
         surv[1 : hi + 1] += shifted[:hi]
-    return np.minimum(surv[observed, np.arange(d)], 1.0)
+    return np.minimum(surv[observed, column], 1.0)
 
 
 def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
@@ -57,17 +61,33 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     independent Bernoulli(cell_probs[i, k] * cell_probs[j, k]) trials; the
     p-value is P(X >= cooc[i, j]). A dyad that never co-occurs has p = 1
     exactly and is not computed. Symmetric, diagonal 1.
+
+    Rows of ``cell_probs`` that are bitwise equal form a class (in a BiCM
+    fit, the children of one degree), and the trials of a dyad depend only
+    on its pair of classes. So the recursion runs one column per unordered
+    class pair that has a co-occurring dyad, and each dyad reads
+    S(cooc[i, j]) from its pair's column. That is bit for bit the per-dyad result:
+    equal rows give equal products, and a product does not depend on the
+    order of its factors.
     """
-    cell_probs = np.asarray(cell_probs, dtype=np.float64)
+    cell_probs = np.ascontiguousarray(cell_probs, dtype=np.float64)
     cooc = np.asarray(cooc)
-    n = cell_probs.shape[0]
+    n, m = cell_probs.shape
     out = np.ones((n, n))
     iu, ju = np.triu_indices(n, 1)
     observed = cooc[iu, ju]
     keep = observed > 0
     iu, ju, observed = iu[keep], ju[keep], observed[keep]
-    probs = np.ascontiguousarray((cell_probs[iu] * cell_probs[ju]).T)  # (m, n_dyads)
-    vals = _upper_tails(probs, observed)
+    # a row's key is its bytes; with no columns, every row is equal
+    keys = cell_probs.view(np.dtype((np.void, 8 * m))).reshape(n) if m else np.zeros(n)
+    _, first, row_class = np.unique(keys, return_index=True, return_inverse=True)
+    a, b = row_class[iu], row_class[ju]
+    pairs, pair = np.unique(
+        np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True
+    )
+    rep_a, rep_b = first[pairs // n], first[pairs % n]
+    probs = np.ascontiguousarray((cell_probs[rep_a] * cell_probs[rep_b]).T)  # (m, n_pairs)
+    vals = _upper_tails(probs, observed, pair)
     out[iu, ju] = vals
     out[ju, iu] = vals
     return out

@@ -4,6 +4,12 @@ Null cell probabilities come from the maximum-entropy bipartite
 configuration model (row/column sums reproduced in expectation); each
 dyad's observed co-occurrence count is then tested against an exact
 Poisson-binomial upper tail, and significant dyads form the backbone.
+
+Both steps work on classes (Saracco et al., New J. Phys. 19, 053022,
+2017). A cell's probability depends only on its row sum and its column
+sum, so the fit solves one multiplier per distinct sum; and a dyad's
+null count depends only on its two rows of cells, so the test runs one
+tail per pair of distinct rows (see ``_kernels.dyad_pvalues``).
 """
 
 from __future__ import annotations
@@ -40,6 +46,14 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
     submatrix) are peeled off as fixed cells; the rest is solved by
     alternating fixed-point iteration on the multipliers, for at most
     ``MAX_FIT_ITER`` steps, until every margin is within ``MARGIN_TOL``.
+
+    Rows with equal sums start with equal multipliers and every update
+    keeps them equal, and so do columns. So the iteration runs on the
+    distinct active row sums x distinct column sums, each sum weighted by
+    the number of rows or columns that have it, and is expanded to every
+    cell at the end: the same iterates as on the full submatrix, up to
+    rounding in the order of the sums. A stalled iteration falls back to
+    Newton's method on the full submatrix, from the expanded multipliers.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.size == 0 or not np.isin(r, (0.0, 1.0)).all():
@@ -84,26 +98,34 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
         rt = row_t[ri]
         ct = col_t[ci]
         total = rt.sum()
-        x = rt / np.sqrt(total)
-        y = ct / np.sqrt(total)
+        # one multiplier per distinct margin, weighted by its multiplicity
+        row_sums, row_class, row_count = np.unique(rt, return_inverse=True, return_counts=True)
+        col_sums, col_class, col_count = np.unique(ct, return_inverse=True, return_counts=True)
+        x = row_sums / np.sqrt(total)
+        y = col_sums / np.sqrt(total)
         err = np.inf
         checkpoint = np.inf
         for it in range(MAX_FIT_ITER):
             denom = 1.0 + np.outer(x, y)
-            x = rt / (y / denom).sum(axis=1)
+            x = row_sums / (col_count * y / denom).sum(axis=1)
             denom = 1.0 + np.outer(x, y)
-            y = ct / (x[:, None] / denom).sum(axis=0)
+            y = col_sums / ((row_count * x)[:, None] / denom).sum(axis=0)
             probs = np.outer(x, y)
             probs /= 1.0 + probs
-            err = _margin_error(probs, rt, ct)
+            err = max(
+                np.abs((probs * col_count).sum(axis=1) - row_sums).max(),
+                np.abs((row_count[:, None] * probs).sum(axis=0) - col_sums).max(),
+            )
             if err < MARGIN_TOL:
                 break
             if it % 100 == 99:  # stalled iteration: switch to Newton
                 if err > 0.5 * checkpoint:
                     break
                 checkpoint = err
-        if err >= MARGIN_TOL:
-            probs = _newton_multipliers(rt, ct, x, y)
+        if err < MARGIN_TOL:
+            probs = probs[np.ix_(row_class, col_class)]
+        else:
+            probs = _newton_multipliers(rt, ct, x[row_class], y[col_class])
             err = _margin_error(probs, rt, ct)
             if err >= MARGIN_TOL:
                 raise ConvergenceError(f"margin residual {err:.3e}")
@@ -178,7 +200,7 @@ def poisson_binomial_upper_tail(probs, observed: int) -> float:
         raise ValueError("probs must be a vector of probabilities")
     if not 0 <= observed <= probs.size:
         raise ValueError(f"observed must be in [0, {probs.size}]")
-    return float(_upper_tails(probs[:, None], np.array([int(observed)]))[0])
+    return float(_upper_tails(probs[:, None], np.array([int(observed)]), np.zeros(1, int))[0])
 
 
 def holm_adjust(pvals: np.ndarray) -> np.ndarray:

@@ -29,6 +29,11 @@ MAX_REPORT_SIZE = 20
 # upper bounds on a profile's counts; the recall matrix stays within 10 MB
 MAX_CHILDREN = 1000
 MAX_REPORTS = 10_000
+# largest |nomination_skew|. At +10 the salience Beta's first shape is
+# 0.024, and a weight underflows to 0 with probability about 2e-8; at +30
+# (0.0027) a two-child class draws only zeros on 49 of 3000 seeds, and its
+# odds are NaN. Below -10, weights pile up at 1.0 in the same way.
+MAX_NOMINATION_SKEW = 10.0
 # uniforms drawn per batch by the report sampler; bounds its memory
 _UNIFORM_BATCH = 8192
 _CONCENTRATION_RANGE = (0.05, 1e4)
@@ -57,6 +62,11 @@ class ClassroomProfile:
             raise ValueError(f"n_reports must be in [1, {MAX_REPORTS}], got {self.n_reports}")
         if not 0.0 < self.nomination_probability < 1.0:
             raise ValueError("nomination_probability must be in (0, 1)")
+        if not -MAX_NOMINATION_SKEW <= self.nomination_skew <= MAX_NOMINATION_SKEW:
+            raise ValueError(
+                f"nomination_skew must be in [{-MAX_NOMINATION_SKEW:g}, {MAX_NOMINATION_SKEW:g}],"
+                f" got {self.nomination_skew}"
+            )
 
 
 def as_rng(seed) -> np.random.Generator:

@@ -14,6 +14,7 @@ from peeraudit.backbone import (
     poisson_binomial_upper_tail,
 )
 from peeraudit._kernels import dyad_pvalues
+from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import draw_classroom
 from peeraudit.recall import RecallMatrix
 from peeraudit.scm import cooccurrence
@@ -80,6 +81,119 @@ def test_fit_newton_fallback_reaches_the_margins(monkeypatch):
     assert len(calls) == 1
     assert np.abs(p.sum(axis=1) - r.sum(axis=1)).max() < MARGIN_TOL
     assert np.abs(p.sum(axis=0) - r.sum(axis=0)).max() < MARGIN_TOL
+
+
+def _fit_bicm_reference(r):
+    """The BiCM fit with one multiplier per child and per report: the same
+    peel, start, update order and stopping rules as ``fit_bicm``, iterated
+    on the full active submatrix."""
+    r = np.asarray(r, dtype=np.float64)
+    n, m = r.shape
+    p = np.zeros((n, m))
+    row_t = r.sum(axis=1).copy()
+    col_t = r.sum(axis=0).copy()
+    rows_active = np.ones(n, dtype=bool)
+    cols_active = np.ones(m, dtype=bool)
+    while True:
+        na, ma = rows_active.sum(), cols_active.sum()
+        if na == 0 or ma == 0:
+            break
+        zero_rows = rows_active & (row_t <= 0)
+        full_rows = rows_active & (row_t >= ma)
+        zero_cols = cols_active & (col_t <= 0)
+        full_cols = cols_active & (col_t >= na)
+        if not (zero_rows.any() or full_rows.any() or zero_cols.any() or full_cols.any()):
+            break
+        if full_rows.any():
+            p[np.ix_(full_rows, cols_active)] = 1.0
+            col_t[cols_active] -= full_rows.sum()
+            rows_active &= ~full_rows
+        if zero_rows.any():
+            rows_active &= ~zero_rows
+        na = rows_active.sum()
+        if full_cols.any():
+            full_cols &= col_t >= na
+        if full_cols.any():
+            p[np.ix_(rows_active, full_cols)] = 1.0
+            row_t[rows_active] -= full_cols.sum()
+            cols_active &= ~full_cols
+        if zero_cols.any():
+            cols_active &= ~zero_cols
+    ri = np.flatnonzero(rows_active)
+    ci = np.flatnonzero(cols_active)
+    if ri.size and ci.size:
+        rt = row_t[ri]
+        ct = col_t[ci]
+        total = rt.sum()
+        x = rt / np.sqrt(total)
+        y = ct / np.sqrt(total)
+        err = np.inf
+        checkpoint = np.inf
+        for it in range(backbone.MAX_FIT_ITER):
+            denom = 1.0 + np.outer(x, y)
+            x = rt / (y / denom).sum(axis=1)
+            denom = 1.0 + np.outer(x, y)
+            y = ct / (x[:, None] / denom).sum(axis=0)
+            probs = np.outer(x, y)
+            probs /= 1.0 + probs
+            err = backbone._margin_error(probs, rt, ct)
+            if err < MARGIN_TOL:
+                break
+            if it % 100 == 99:
+                if err > 0.5 * checkpoint:
+                    break
+                checkpoint = err
+        if err >= MARGIN_TOL:
+            probs = backbone._newton_multipliers(rt, ct, x, y)
+        p[np.ix_(ri, ci)] = probs
+    return p
+
+
+def _peeled_matrices():
+    rng = np.random.default_rng(16)
+    full_row = (rng.random((12, 20)) < 0.3).astype(float)
+    full_row[0] = 1.0
+    full_col = (rng.random((15, 30)) < 0.25).astype(float)
+    full_col[:, 4] = 1.0
+    both = (rng.random((10, 25)) < 0.3).astype(float)
+    both[3] = 1.0
+    both[:, 7] = 1.0
+    both[5] = 0.0
+    return [full_row, full_col, both]
+
+
+def _assert_matches_reference(r, atol=0.0):
+    p, ref = fit_bicm(r), _fit_bicm_reference(r)
+    np.testing.assert_allclose(p, ref, rtol=1e-13, atol=atol)
+    rm = _rm(r)
+    cooc = cooccurrence(rm).astype(np.int64)
+    pvals, ref_pvals = dyad_pvalues(p, cooc), dyad_pvalues(ref, cooc)
+    np.testing.assert_allclose(pvals, ref_pvals, rtol=1e-13, atol=0)
+    assert np.array_equal(pvals <= 0.05, ref_pvals <= 0.05)
+
+
+def test_fit_matches_full_matrix_reference():
+    matrices = [load_benchmark().entries] + _peeled_matrices()
+    # seeds 100-139 lie outside the benchmark's classroom pool
+    matrices += [draw_classroom(np.random.default_rng(s))[1].entries for s in range(100, 140)]
+    for r in matrices:
+        _assert_matches_reference(r)
+
+
+def test_fit_newton_fallback_matches_full_matrix_reference(monkeypatch):
+    calls = []
+    newton = backbone._newton_multipliers
+
+    def spy(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(backbone, "_newton_multipliers", spy)
+    # Newton starts within 2e-15 of the reference's start, but its
+    # Jacobian is near singular along cells below 1e-9, which the margins
+    # barely fix: those differ by up to 1.5e-15 absolute (3e-6 relative)
+    _assert_matches_reference(_fallback_classroom(), atol=1e-14)
+    assert len(calls) == 2  # the fit's fallback and the reference's
 
 
 def test_fit_singular_newton_step_is_a_convergence_error(monkeypatch):
@@ -161,6 +275,38 @@ def test_dyad_pvalues_brute_force():
                 assert p[i, j] == 1.0
             if k > m:
                 assert p[i, j] == 0.0
+
+
+def _dyad_pvalues_by_loop(cell_p, cooc):
+    """dyad_pvalues one dyad at a time, by the public upper tail."""
+    n = cell_p.shape[0]
+    out = np.ones((n, n))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        out[i, j] = out[j, i] = poisson_binomial_upper_tail(cell_p[i] * cell_p[j], int(cooc[i, j]))
+    return out
+
+
+def _fitted(rm):
+    return fit_bicm(rm.entries), cooccurrence(rm).astype(np.int64)
+
+
+def test_dyad_pvalues_match_per_dyad_loop_bitwise():
+    rng = np.random.default_rng(17)
+    cases = [_fitted(load_benchmark())]
+    # seeds 100-119 lie outside the benchmark's classroom pool
+    cases += [_fitted(draw_classroom(np.random.default_rng(s))[1]) for s in range(100, 120)]
+    # two rows of one degree class whose cells differ in the last bit only
+    cell_p, cooc = _fitted(draw_classroom(np.random.default_rng(100))[1])
+    cell_p[1] = cell_p[0]
+    cell_p[1, -1] = np.nextafter(cell_p[1, -1], 1.0)
+    cases.append((cell_p, cooc))
+    # every row distinct, as in the benchmark's kernel timings
+    for n, m in [(26, 61), (40, 200)]:
+        cell_p = rng.uniform(0.02, 0.5, size=(n, m))
+        entries = (rng.random((n, m)) < cell_p).astype(np.int64)
+        cases.append((cell_p, entries @ entries.T))
+    for cell_p, cooc in cases:
+        assert np.array_equal(dyad_pvalues(cell_p, cooc), _dyad_pvalues_by_loop(cell_p, cooc))
 
 
 def test_tail_input_validation():

@@ -123,6 +123,7 @@ def test_simulate_generate_with_byte_order_marked_profile(tmp_path):
     ({**PROFILE, "nomination_skew": float("nan")}, "nomination_skew"),
     ([1, 2], "JSON object"),
     (b"\xff{}", "utf-8"),  # not UTF-8
+    ({**PROFILE, "nomination_skew": 60.0}, "nomination_skew"),  # weights underflow to 0
 ])
 def test_simulate_malformed_profile_is_data_error(tmp_path, capsys, payload, key):
     profile = tmp_path / "profile.json"

@@ -12,6 +12,7 @@ from scipy import optimize, stats
 from peeraudit import nullmodels
 from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import (
+    MAX_NOMINATION_SKEW,
     MAX_REPORT_SIZE,
     PROFILE_BOUNDS,
     ClassroomProfile,
@@ -265,6 +266,12 @@ def test_profile_validation():
     with pytest.raises(ValueError, match="n_reports"):
         ClassroomProfile(10, 10_001, 0.3, 0.0, 0.0)
     ClassroomProfile(1000, 10_000, 0.01, 0.0, 0.0)
+    for skew in (np.nextafter(MAX_NOMINATION_SKEW, np.inf), -20.0, float("nan")):
+        with pytest.raises(ValueError, match="nomination_skew"):
+            ClassroomProfile(10, 10, 0.3, skew, 0.0)
+    ClassroomProfile(10, 10, 0.3, -MAX_NOMINATION_SKEW, 0.0)
+    lo, hi = PROFILE_BOUNDS["nomination_skew"]
+    assert -MAX_NOMINATION_SKEW <= lo < hi <= MAX_NOMINATION_SKEW
 
 
 def test_generate_shape_contract():
@@ -359,7 +366,7 @@ def test_mean_closed_form_matches_root_find():
 def test_generate_extreme_nomination_skew():
     # the root-find this replaced had no root in its bracket here and
     # raised "f(a) and f(b) must have different signs"
-    profile = ClassroomProfile(26, 61, 0.3, 100.0, 0.5)
+    profile = ClassroomProfile(26, 61, 0.3, MAX_NOMINATION_SKEW, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rm = generate_classroom(profile, seed=0)
@@ -367,6 +374,27 @@ def test_generate_extreme_nomination_skew():
     assert rm.entries.sum(axis=0).max() <= MAX_REPORT_SIZE
     # one child holds nearly all the salience weight: every report names it
     assert rm.entries.sum(axis=1).max() == profile.n_reports
+
+
+def test_largest_nomination_skew_draws_finite_odds(monkeypatch):
+    # beyond the bound, small classes draw all-zero salience weights:
+    # their odds are NaN and every report names the first children
+    draw = nullmodels._draw_reports
+    odds_seen = []
+
+    def spy(rng, odds, sizes):
+        odds_seen.append(odds)
+        return draw(rng, odds, sizes)
+
+    monkeypatch.setattr(nullmodels, "_draw_reports", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 15, 40):
+            profile = ClassroomProfile(n, 15, 0.3, MAX_NOMINATION_SKEW, 0.5)
+            for seed in range(1000):
+                generate_classroom(profile, seed=seed)
+    assert len(odds_seen) == 3000
+    assert all(np.isfinite(odds).all() for odds in odds_seen)
 
 
 def _fixed_size_weighted_sample(

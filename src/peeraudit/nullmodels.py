@@ -103,15 +103,25 @@ def curveball_randomize(
     indices held by exactly one of them, keeping both row sums (and all
     column sums) intact. Default trade count is 5x the number of rows.
 
-    Rows are Python-int bitsets (bit c: column c). Each trade makes the
-    same generator calls in the same order: ``rng.choice(n, size=2,
-    replace=False)`` for rows i and j, then, only when each row holds a
-    column the other lacks, ``rng.shuffle`` of the bits of the columns
-    held by exactly one of them, lowest column first. ``shuffle`` draws
-    the same for a list as for an array of the same length, so this is
-    the shuffle of the sorted column indices. The first
-    ``popcount(a & ~b)`` shuffled bits go to row i and the rest to row j,
-    so a seed gives one matrix and leaves the generator in one state.
+    Rows are Python-int bitsets (bit c: column c). Each trade draws rows
+    i and j as ``rng.choice(n, size=2, replace=False)`` draws them, and
+    from the same 32-bit words of the bit generator, read through its
+    ``ctypes`` interface. That draw is Floyd's algorithm: i uniform on
+    [0, n - 2] (no word when n == 2), j uniform on [0, n - 1], replaced
+    by n - 1 when it equals i, then one word whose top bit, when 0,
+    swaps them. Each bounded draw is Lemire's: x = word * span, redrawn
+    while its low 32 bits fall below 2**32 % span, gives x >> 32. Then,
+    only when each row holds a column the other lacks, the trade calls
+    ``rng.shuffle`` on the bits of the columns held by exactly one of
+    them, lowest column first. ``shuffle`` draws the same for a list as
+    for an array of the same length, so this is the shuffle of the
+    sorted column indices. The first ``popcount(a & ~b)`` shuffled bits
+    go to row i and the rest to row j, so a seed gives one matrix and
+    leaves the generator in one state, that of the ``rng.choice`` and
+    ``rng.shuffle`` calls.
+
+    The ``ctypes`` calls do not take the generator's lock: no other
+    thread may use the generator during the call.
     """
     rng = as_rng(seed)
     n, m = rm.entries.shape
@@ -123,8 +133,26 @@ def curveball_randomize(
         return RecallMatrix(rm.children, rm.entries.copy())
     n_bytes = (m + 7) // 8
     rows = bitset_rows(rm.entries)
+    bits = rng.bit_generator.ctypes
+    next32, state = bits.next_uint32, bits.state
+    last = n - 1
+    # Lemire's rejection floors for the spans of i (n - 1) and j (n)
+    floor_i, floor_j = (1 << 32) % last, (1 << 32) % n
     for _ in range(n_trades):
-        i, j = rng.choice(n, size=2, replace=False).tolist()
+        i = 0
+        if n > 2:
+            x = next32(state) * last
+            while x & 0xFFFFFFFF < floor_i:
+                x = next32(state) * last
+            i = x >> 32
+        x = next32(state) * n
+        while x & 0xFFFFFFFF < floor_j:
+            x = next32(state) * n
+        j = x >> 32
+        if j == i:
+            j = last
+        if not next32(state) >> 31:
+            i, j = j, i
         a, b = rows[i], rows[j]
         a_only = a & ~b
         if not a_only or not b & ~a:

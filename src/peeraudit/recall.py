@@ -39,8 +39,8 @@ class RecallMatrix:
                 f"{len(self.children)} children but {raw.shape[0]} matrix rows"
             )
         # checked before the int8 cast, which would wrap 257 to 1 and
-        # truncate 0.7 to 0; NaN is in neither set
-        if not np.isin(raw, (0, 1)).all():
+        # truncate 0.7 to 0; NaN and strings equal neither
+        if not ((raw == 0) | (raw == 1)).all():
             raise DataError("matrix cells must be 0 or 1")
         entries = np.ascontiguousarray(raw, dtype=np.int8)
         if entries.shape[1] == 0:

@@ -49,9 +49,13 @@ class GroupAssignment:
 
 
 def cooccurrence(rm: RecallMatrix) -> np.ndarray:
-    """C = R R^T: shared-report counts per dyad; diagonal = total appearances."""
-    r = rm.entries.astype(np.int64)
-    return r @ r.T
+    """C = R R^T: shared-report counts per dyad; diagonal = total appearances.
+
+    The product runs in float64, where BLAS does it, and is exact: every
+    partial sum is a whole number of reports, far below 2**53.
+    """
+    r = rm.entries.astype(np.float64)
+    return (r @ r.T).astype(np.int64)
 
 
 def similarity(cooc: np.ndarray) -> np.ndarray:

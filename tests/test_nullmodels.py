@@ -159,8 +159,16 @@ def _curveball_reference(rm, n_trades=None, seed=None):
     return RecallMatrix(rm.children, entries)
 
 
-def _assert_curveball_matches_reference(rm, n_trades, seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+def _assert_curveball_matches_reference(rm, n_trades, seed, bit_generator=np.random.PCG64):
+    rng = np.random.Generator(bit_generator(seed))
+    ref_rng = np.random.Generator(bit_generator(seed))
+    if seed % 2:
+        # start with half of a 64-bit output pending
+        assert rng.integers(2**32, dtype=np.uint32) == ref_rng.integers(2**32, dtype=np.uint32)
+    _assert_same_shuffle(rm, n_trades, rng, ref_rng)
+
+
+def _assert_same_shuffle(rm, n_trades, rng, ref_rng):
     got = curveball_randomize(rm, n_trades=n_trades, seed=rng).entries
     expected = _curveball_reference(rm, n_trades=n_trades, seed=ref_rng).entries
     assert got.dtype == expected.dtype
@@ -194,6 +202,36 @@ def test_curveball_matches_reference_on_random_matrices():
         rm = RecallMatrix(tuple(f"v{i}" for i in range(n)), entries)
         for n_trades in (None, 0, 1):
             _assert_curveball_matches_reference(rm, n_trades, case)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+def test_curveball_matches_reference_on_other_bit_generators(bit_generator):
+    bench = load_benchmark()
+    for seed in range(20):
+        _assert_curveball_matches_reference(bench, None, seed, bit_generator)
+    rng = np.random.default_rng(22)
+    for case, n in enumerate([2, 2, 3, 3, 5, 1000]):
+        entries = (rng.random((n, 40)) < 0.5).astype(np.int8)
+        entries[0, entries.sum(axis=0) == 0] = 1  # every report names somebody
+        rm = RecallMatrix(tuple(f"v{i}" for i in range(n)), entries)
+        _assert_curveball_matches_reference(rm, 50, case, bit_generator)
+
+
+def test_curveball_matches_reference_when_a_row_draw_is_rejected():
+    # 1 720 318 words into seed 2024, the first word of the next trade
+    # falls in Lemire's rejection zone for i's span of 999
+    n = 1000
+    rng, ref_rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    for g in (rng, ref_rng):
+        g.integers(2**32, size=1_720_318, dtype=np.uint32)
+    probe = np.random.default_rng()
+    probe.bit_generator.state = rng.bit_generator.state
+    first, second = probe.integers(2**32, size=2, dtype=np.uint32).astype(np.int64)
+    assert first * (n - 1) % 2**32 < 2**32 % (n - 1) <= second * (n - 1) % 2**32
+    entries = (np.random.default_rng(7).random((n, 30)) < 0.5).astype(np.int8)
+    rm = RecallMatrix(tuple(f"v{i}" for i in range(n)), entries)
+    _assert_same_shuffle(rm, 1, rng, ref_rng)
 
 
 def test_shuffle_draws_the_same_for_a_list_as_for_an_array():

@@ -149,10 +149,10 @@ def test_matrix_invariants_enforced():
         RecallMatrix(("a", "b"), np.array([[2, 1], [1, 1]], dtype=np.int8))
 
 
-@pytest.mark.parametrize("bad", [0.7, 257, -255, np.nan])
+@pytest.mark.parametrize("bad", [0.7, 257, -255, np.nan, np.inf, "1"])
 def test_matrix_cells_checked_before_int8_cast(bad):
-    # an int8 cast reads 0.7 as 0 and 257 and -255 as 1; NaN has no
-    # integer value
+    # an int8 cast reads 0.7 as 0 and 257 and -255 as 1; NaN and inf have
+    # no integer value; a string cell makes every cell a string
     with pytest.raises(DataError, match="0 or 1"):
         RecallMatrix(("a", "b"), np.array([[1, bad], [1, 1]]))
 

@@ -68,6 +68,19 @@ def test_cooccurrence_matches_pairwise_counting():
                 assert c[i, j] == count
 
 
+@pytest.mark.parametrize("n, m, density", [(26, 61, 0.3), (40, 200, 0.5), (30, 10_000, 0.9)])
+def test_cooccurrence_equals_the_int64_product(n, m, density):
+    rng = np.random.default_rng(n + m)
+    entries = (rng.random((n, m)) < density).astype(np.int8)
+    entries[0] = 1  # a child named in every report
+    rm = RecallMatrix(_names(n), entries)
+    r = entries.astype(np.int64)
+    c = cooccurrence(rm)
+    assert c.dtype == np.int64
+    assert np.array_equal(c, r @ r.T)
+    assert c[0, 0] == m
+
+
 # --- similarity -----------------------------------------------------------
 
 

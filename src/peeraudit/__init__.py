@@ -8,6 +8,7 @@ from .experiments import (
     AuditSummary,
     RegressionResult,
     RunRecord,
+    audit,
     ols_regression,
     run_profile_audit,
     run_shuffle_audit,
@@ -48,6 +49,7 @@ __all__ = [
     "RecallMatrix",
     "RegressionResult",
     "RunRecord",
+    "audit",
     "becd_groups",
     "cooccurrence",
     "curveball_randomize",

@@ -29,9 +29,11 @@ from .recall import DataError, load_reports, to_report_lines, validate_scm_limit
 SCHEMA_VERSION = 1
 CSV_HEADER = f"# schema_version={SCHEMA_VERSION}\n"
 
-# the studies `audit --study` takes, and the pipeline each audits by default
-STUDY_DEFAULT_METHOD = {"1": "scm-fifty", "2": "scm-fifty", "3": "scm-fifty",
-                        "4a": "becd", "4b": "becd", "4c": "becd"}
+# the studies `audit --study` takes: the pipeline each audits by default, and
+# the null model of `nullmodels.null_draws` that gives its classrooms
+STUDIES = {"1": ("scm-fifty", None), "2": ("scm-fifty", "shuffle"),
+           "3": ("scm-fifty", "generate"), "4a": ("becd", None),
+           "4b": ("becd", "shuffle"), "4c": ("becd", "generate")}
 
 
 def _out_dir(ctx) -> pathlib.Path:
@@ -161,9 +163,11 @@ def _load_profile(path) -> nullmodels.ClassroomProfile:
             kind = "an integer" if count else "a finite number"
             raise DataError(f"profile {path}: {key} must be {kind}, got {value!r}")
     try:
-        return nullmodels.ClassroomProfile(**raw)
+        profile = nullmodels.ClassroomProfile(**raw)
+        nullmodels.check_feasible(profile)
     except ValueError as exc:
         raise DataError(f"profile {path}: {exc}") from None
+    return profile
 
 
 @cli.command("simulate")
@@ -175,34 +179,31 @@ def _load_profile(path) -> nullmodels.ClassroomProfile:
 @click.option("--trials", type=click.IntRange(min=1), default=1, show_default=True)
 @click.pass_context
 def simulate_cmd(ctx, mode, reports, profile, trials):
-    """Write one null-model report-list file per trial."""
-    seed = ctx.obj["seed"]
+    """Write one null-model report-list file per trial; file t holds the
+    classroom that `audit` trial t analyzes at the same seed."""
     if mode == "shuffle":
         if reports is None:
             raise click.UsageError("--mode shuffle requires --reports")
         if profile is not None:
             raise click.UsageError("--profile applies only to --mode generate")
-        rm = load_reports(reports)
-        matrices = (
-            nullmodels.curveball_randomize(rm, seed=seed + t) for t in range(trials)
-        )
+        draw = nullmodels.null_draws(mode, rm=load_reports(reports))
     else:
         if reports is not None:
             raise click.UsageError("--reports applies only to --mode shuffle")
-        fixed = _load_profile(profile) if profile is not None else None
-        matrices = (
-            nullmodels.draw_classroom(np.random.default_rng(seed + t), profile=fixed)[1]
-            for t in range(trials)
-        )
+        draw = nullmodels.null_draws(mode, profile=None if profile is None else _load_profile(profile))
     out = _out_dir(ctx)
-    for t, matrix in enumerate(matrices):
-        (out / f"trial_{t:04d}.txt").write_text(to_report_lines(matrix), encoding="utf-8")
+
+    def write(t: int, trial_seed: int) -> None:
+        text = to_report_lines(draw(trial_seed)[0])
+        (out / f"trial_{t:04d}.txt").write_text(text, encoding="utf-8")
+
+    experiments._run_trials(write, trials, ctx.obj["seed"])
     _write_manifest(ctx, out)
     click.echo(f"wrote {trials} trial file(s) to {out}")
 
 
 @cli.command("audit")
-@click.option("--study", type=click.Choice(list(STUDY_DEFAULT_METHOD)), required=True)
+@click.option("--study", type=click.Choice(list(STUDIES)), required=True)
 @click.option("--method", type=click.Choice(experiments.METHODS), default=None,
               help="Pipeline to audit; defaults to the study's own method.")
 @click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
@@ -211,32 +212,21 @@ def simulate_cmd(ctx, mode, reports, profile, trials):
 @click.pass_context
 def audit_cmd(ctx, study, method, trials, threshold, alpha):
     """Reproduce one of the four studies on the committed benchmark."""
-    method = method or STUDY_DEFAULT_METHOD[study]
+    default_method, null = STUDIES[study]
+    method = method or default_method
     if study == "3" and trials < experiments.MIN_REGRESSION_RECORDS:
         raise click.UsageError(
             f"--study 3 fits a regression and needs --trials >= {experiments.MIN_REGRESSION_RECORDS}"
         )
     seed = ctx.obj["seed"]
     out = _out_dir(ctx)
-    kwargs = dict(threshold=threshold, alpha=alpha)
+    rm = None if null == "generate" else datasets.load_benchmark()
+    records, summary = experiments.audit(null, method, trials if null else 1, seed, rm, threshold, alpha)
     extra: dict = {"study": study, "method": method}
-    regression = None
-    if study in ("1", "4a"):
-        rm = datasets.load_benchmark()
-        assignment, p_stat = experiments.run_pipeline(rm, method, seed=seed, **kwargs)
-        records = [experiments._record(0, method, "benchmark", rm, p_stat)]
-        summary = experiments.summarize(records)
-        blocks, allowed = datasets.planted_blocks()
-        extra["agreement"] = experiments.block_agreement(assignment, blocks, allowed)
-    elif study in ("2", "4b"):
-        rm = datasets.load_benchmark()
-        records, summary = experiments.run_shuffle_audit(
-            rm, method, trials, seed=seed, **kwargs
-        )
-    else:  # 3 or 4c
-        records, summary = experiments.run_profile_audit(method, trials, seed=seed, **kwargs)
-        if study == "3":
-            regression = experiments.ols_regression(records)
+    if null is None:  # the benchmark's one trial again, for its groups
+        assignment, _ = experiments.run_pipeline(rm, method, threshold, alpha, seed)
+        extra["agreement"] = experiments.block_agreement(assignment, *datasets.planted_blocks())
+    regression = experiments.ols_regression(records) if study == "3" else None
     (out / "records.csv").write_text(CSV_HEADER + experiments.records_to_csv(records), encoding="utf-8")
     _write_json(out / "summary.json", {**extra, **summary.__dict__})
     _write_csv(out / "histogram.csv", [

@@ -1,11 +1,11 @@
 """Monte Carlo audits of peer-group pipelines.
 
-Runs a chosen pipeline (SCM variant or backbone+communities) against a
-benchmark classroom, against fixed-margin shuffles of it, or against
-fully synthetic classrooms, recording the membership proportion P per
-trial along with classroom characteristics (generator targets plus
-realized skews). Also fits the summary regression of P on those
-characteristics.
+``audit`` runs a chosen pipeline (SCM variant or backbone+communities) on
+the classrooms of one null model of ``nullmodels.null_draws``: a benchmark
+classroom itself, fixed-margin shuffles of it, or synthetic classrooms.
+Each trial records the membership proportion P with the classroom's
+characteristics (generator targets plus realized skews). Also fits the
+summary regression of P on those characteristics.
 """
 
 from __future__ import annotations
@@ -96,14 +96,8 @@ def _safe_skew(x) -> float:
         return 0.0
 
 
-def _record(
-    trial,
-    method,
-    source,
-    rm: RecallMatrix,
-    p_stat,
-    profile: nullmodels.ClassroomProfile | None = None,
-) -> RunRecord:
+def _record(trial, method, source, rm: RecallMatrix, p_stat,
+            profile: nullmodels.ClassroomProfile | None = None) -> RunRecord:
     rows = rm.entries.sum(axis=1)
     cols = rm.entries.sum(axis=0)
     realized = (_safe_skew(rows), _safe_skew(cols))
@@ -116,8 +110,8 @@ def _record(
                      *targets, *realized, p_stat)
 
 
-def _run_trials(worker, n_trials: int, seed: int) -> list[RunRecord]:
-    """``worker(t)`` for every trial t, whose seed is ``seed + t``.
+def _run_trials(worker, n_trials: int, seed: int) -> list:
+    """``worker(t, seed + t)`` for every trial t, in order; their results.
 
     An exception from a trial keeps its class, so callers and the CLI exit
     code still see what went wrong, and its message gains the trial index
@@ -125,61 +119,48 @@ def _run_trials(worker, n_trials: int, seed: int) -> list[RunRecord]:
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    records = []
+    results = []
     for trial in range(n_trials):
         try:
-            records.append(worker(trial))
+            results.append(worker(trial, seed + trial))
         except Exception as exc:
             exc.args = (f"trial {trial} (seed {seed + trial}): {exc}",)
             raise
-    return records
+    return results
 
 
-def run_shuffle_audit(
-    rm: RecallMatrix,
-    method: str,
-    n_trials: int,
-    seed: int = 0,
-    threshold: float = scm.DEFAULT_THRESHOLD,
-    alpha: float = 0.05,
-) -> tuple[list[RunRecord], AuditSummary]:
-    """Fixed-margin shuffles of ``rm``, one pipeline run each; trial t
-    uses seed ``seed + t``."""
-    # a curveball keeps every row and column sum, so every trial has the
-    # margin fields of ``rm``; each trial sets only its index and its P
-    template = _record(0, method, "shuffle", rm, float("nan"))
+def audit(null, method: str, n_trials: int = 1, seed: int = 0, rm: RecallMatrix | None = None,
+          threshold: float = scm.DEFAULT_THRESHOLD, alpha: float = 0.05,
+          ) -> tuple[list[RunRecord], AuditSummary]:
+    """One pipeline run on each classroom of ``nullmodels.null_draws(null,
+    rm)``; trial t analyzes the classroom of seed ``seed + t``, and its
+    record's source is ``null``, or "benchmark" when ``null`` is None."""
+    draw = nullmodels.null_draws(null, rm)
+    source = null or "benchmark"
+    # a shuffle keeps ``rm``'s margins, so its record is ``rm``'s but for index and P
+    template = None if null == "generate" else _record(0, method, source, rm, float("nan"))
 
-    def worker(trial: int) -> RunRecord:
-        trial_seed = seed + trial
-        shuffled = nullmodels.curveball_randomize(rm, seed=trial_seed)
-        _, p_stat = run_pipeline(
-            shuffled, method, threshold=threshold, alpha=alpha, seed=trial_seed
-        )
-        return replace(template, trial=trial, p_stat=p_stat)
+    def worker(trial: int, trial_seed: int) -> RunRecord:
+        classroom, profile = draw(trial_seed)
+        _, p_stat = run_pipeline(classroom, method, threshold, alpha, trial_seed)
+        if template is not None:
+            return replace(template, trial=trial, p_stat=p_stat)
+        return _record(trial, method, source, classroom, p_stat, profile=profile)
 
     records = _run_trials(worker, n_trials, seed)
     return records, summarize(records)
 
 
-def run_profile_audit(
-    method: str,
-    n_trials: int,
-    seed: int = 0,
-    threshold: float = scm.DEFAULT_THRESHOLD,
-    alpha: float = 0.05,
-) -> tuple[list[RunRecord], AuditSummary]:
-    """Synthetic classrooms with profiles drawn uniformly within
-    ``nullmodels.PROFILE_BOUNDS``."""
+def run_shuffle_audit(rm: RecallMatrix, method: str, n_trials: int, seed: int = 0,
+                      threshold: float = scm.DEFAULT_THRESHOLD, alpha: float = 0.05):
+    """``audit`` of fixed-margin shuffles of ``rm``."""
+    return audit("shuffle", method, n_trials, seed, rm, threshold, alpha)
 
-    def worker(trial: int) -> RunRecord:
-        profile, rm = nullmodels.draw_classroom(np.random.default_rng(seed + trial))
-        _, p_stat = run_pipeline(
-            rm, method, threshold=threshold, alpha=alpha, seed=seed + trial
-        )
-        return _record(trial, method, "generate", rm, p_stat, profile=profile)
 
-    records = _run_trials(worker, n_trials, seed)
-    return records, summarize(records)
+def run_profile_audit(method: str, n_trials: int, seed: int = 0,
+                      threshold: float = scm.DEFAULT_THRESHOLD, alpha: float = 0.05):
+    """``audit`` of synthetic classrooms, profiles drawn within ``PROFILE_BOUNDS``."""
+    return audit("generate", method, n_trials, seed, None, threshold, alpha)
 
 
 def summarize(records: list[RunRecord]) -> AuditSummary:

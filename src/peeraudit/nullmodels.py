@@ -3,6 +3,7 @@
 Two null models: fixed-margin curveball shuffles of an observed matrix,
 and a five-parameter synthetic classroom generator (size, report count,
 nomination probability, and skews of child salience and report size).
+``null_draws`` maps a trial's seed to its classroom under either.
 """
 
 from __future__ import annotations
@@ -273,6 +274,19 @@ def _draw_reports(rng: np.random.Generator, odds: np.ndarray, sizes: list[int]) 
     return members
 
 
+def check_feasible(profile: ClassroomProfile) -> tuple[float, int]:
+    """(mean report size, largest report size) of the profile; a mean above
+    the largest + 0.5 cannot be realized and raises ``InfeasibleProfileError``."""
+    size_max = min(MAX_REPORT_SIZE, profile.n_children)
+    mean_size = profile.nomination_probability * profile.n_children
+    if mean_size > size_max + 0.5:
+        raise InfeasibleProfileError(
+            f"mean report size {mean_size:.2f} (nomination_probability x n_children)"
+            f" exceeds the support maximum {size_max}"
+        )
+    return mean_size, size_max
+
+
 def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
     """Random classroom with the profile's margins-in-expectation.
 
@@ -283,14 +297,9 @@ def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
     probability proportional to salience weight. Realized skews should be
     measured from the output, not assumed equal to the targets.
     """
+    mean_size, size_max = check_feasible(profile)
     rng = as_rng(seed)
     n, m = profile.n_children, profile.n_reports
-    size_max = min(MAX_REPORT_SIZE, n)
-    mean_size = profile.nomination_probability * n
-    if mean_size > size_max + 0.5:
-        raise InfeasibleProfileError(
-            f"mean report size {mean_size:.2f} exceeds the support maximum {size_max}"
-        )
     mean01 = np.clip((mean_size - 1.0) / (size_max - 1.0), 0.02, 0.98)
     conc = _solve_concentration(mean01, profile.group_size_skew)
     draws = rng.beta(mean01 * conc, (1.0 - mean01) * conc, size=m)
@@ -320,6 +329,21 @@ def draw_classroom(
     if profile is None:
         profile = sample_profile(seed=rng)
     return profile, generate_classroom(profile, seed=rng)
+
+
+def null_draws(null, rm: RecallMatrix | None = None, profile: ClassroomProfile | None = None):
+    """The classrooms of one null model, as a map from a trial's seed to
+    (classroom, generator profile or None): ``"shuffle"`` maps it to
+    ``curveball_randomize(rm, seed=seed)``, ``"generate"`` to
+    ``draw_classroom(default_rng(seed), profile)`` (a profile drawn per
+    seed when ``profile`` is None), and ``None`` to ``rm`` itself."""
+    if null == "shuffle":
+        return lambda seed: (curveball_randomize(rm, seed=seed), None)
+    if null == "generate":
+        return lambda seed: draw_classroom(np.random.default_rng(seed), profile)[::-1]
+    if null is None:
+        return lambda seed: (rm, None)
+    raise ValueError(f"unknown null model {null!r}; expected 'shuffle', 'generate' or None")
 
 
 def sample_profile(seed=None) -> ClassroomProfile:

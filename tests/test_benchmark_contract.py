@@ -9,9 +9,12 @@ import inspect
 import pathlib
 
 import numpy as np
+import pytest
 
 import peeraudit
-from peeraudit import _kernels, communities, datasets, experiments, nullmodels
+from peeraudit import (
+    _kernels, backbone, cli, communities, datasets, experiments, nullmodels, recall, scm,
+)
 
 AUDITBENCH = pathlib.Path(__file__).resolve().parents[1] / "auditbench"
 
@@ -59,3 +62,28 @@ def test_benchmark_tracer_sees_the_classroom_generator(monkeypatch):
     assert len(tracer.named("nullmodels.sample_profile")) == 1
     for name, fn in originals.items():
         assert getattr(nullmodels, name) is fn
+
+
+@pytest.mark.parametrize("study", ["2", "4c"])
+def test_benchmark_traced_audit_spans_each_trial_and_restores(tmp_path, monkeypatch, study):
+    # every untraced benchmark run is paired with a traced one through the
+    # CLI; a name that attach no longer finds would fail that run
+    monkeypatch.syspath_prepend(str(AUDITBENCH))
+    import layers
+    import spans
+
+    owners = (experiments, nullmodels, recall, recall.RecallMatrix, scm, backbone, communities)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    layers.attach(tracer)
+    try:
+        main = tracer.wrap("cli.main", cli.main)
+        code = main(["--out", str(tmp_path), "audit", "--study", study, "--trials", "2"])
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert len(tracer.named("experiments.trial")) == 2
+    for owner, attrs in zip(owners, before):
+        after = vars(owner)
+        assert after.keys() == attrs.keys()
+        assert all(after[name] is value for name, value in attrs.items()), owner

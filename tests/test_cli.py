@@ -10,10 +10,10 @@ import sys
 import pytest
 
 import peeraudit
-from peeraudit import nullmodels
+from peeraudit import experiments, nullmodels
 from peeraudit.backbone import ConvergenceError
 from peeraudit.cli import cli, main
-from peeraudit.recall import DataError
+from peeraudit.recall import DataError, load_reports, to_report_lines
 
 REPORTS = "ana,bea,cora\nana,bea,cora\nana,bea\ndina,eve\ndina,eve,fay\ndina,eve,fay\n"
 
@@ -124,6 +124,8 @@ def test_simulate_generate_with_byte_order_marked_profile(tmp_path):
     ([1, 2], "JSON object"),
     (b"\xff{}", "utf-8"),  # not UTF-8
     ({**PROFILE, "nomination_skew": 60.0}, "nomination_skew"),  # weights underflow to 0
+    # mean report size 27 above the largest, 20: infeasible before any trial
+    ({**PROFILE, "n_children": 30, "nomination_probability": 0.9}, "nomination_probability"),
 ])
 def test_simulate_malformed_profile_is_data_error(tmp_path, capsys, payload, key):
     profile = tmp_path / "profile.json"
@@ -133,7 +135,7 @@ def test_simulate_malformed_profile_is_data_error(tmp_path, capsys, payload, key
                  "--profile", str(profile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and key in err
-    assert not list(out.glob("trial_*.txt"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("n_children", 10**12), ("n_reports", 10_001)])
@@ -148,6 +150,44 @@ def test_simulate_oversize_profile_is_data_error(tmp_path, capsys, monkeypatch, 
                  "--profile", str(profile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and key in err
+
+
+BENCHMARK_REPORTS = pathlib.Path(peeraudit.__file__).parent / "data" / "benchmark_reports.txt"
+
+
+@pytest.mark.parametrize("mode, fixed, study", [
+    ("shuffle", False, "2"), ("generate", False, "4c"), ("generate", True, None),
+])
+def test_simulate_writes_the_audit_trials_classrooms(tmp_path, monkeypatch, mode, fixed, study):
+    # file t is the classroom of null_draws at seed + t, and so the one that
+    # audit trial t analyzes at the same seed
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(PROFILE))
+    source = (["--reports", str(BENCHMARK_REPORTS)] if mode == "shuffle"
+              else ["--profile", str(profile)] if fixed else [])
+    out = tmp_path / "sim"
+    assert main(["--seed", "11", "--out", str(out), "simulate", "--mode", mode,
+                 *source, "--trials", "3"]) == 0
+    draw = nullmodels.null_draws(
+        mode,
+        rm=load_reports(BENCHMARK_REPORTS) if mode == "shuffle" else None,
+        profile=nullmodels.ClassroomProfile(**PROFILE) if fixed else None,
+    )
+    files = [(out / f"trial_{t:04d}.txt").read_text() for t in range(3)]
+    assert files == [to_report_lines(draw(11 + t)[0]) for t in range(3)]
+    if study is None:  # audit draws no classroom at a fixed profile
+        return
+    analyzed = []
+    run_pipeline = experiments.run_pipeline
+
+    def keep(rm, *args, **kwargs):
+        analyzed.append(to_report_lines(rm))
+        return run_pipeline(rm, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_pipeline", keep)
+    assert main(["--seed", "11", "--out", str(tmp_path / "audit"), "audit",
+                 "--study", study, "--method", "scm-components", "--trials", "3"]) == 0
+    assert analyzed == files
 
 
 def test_simulate_shuffle_requires_reports(tmp_path):
@@ -234,6 +274,15 @@ def test_audit_trial_failure_names_trial_and_seed(tmp_path, monkeypatch, capsys,
     ) == code
     err = capsys.readouterr().err
     assert "trial 2 (seed 9): injected failure" in err
+
+    # the benchmark studies run their one pipeline as trial 0
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(experiments, "run_pipeline", fail)
+    for study in ("1", "4a"):
+        assert main(["--seed", "9", "--out", str(tmp_path / study), "audit", "--study", study]) == code
+        assert "trial 0 (seed 9): injected failure" in capsys.readouterr().err
 
 
 def test_threads_accepted_and_ignored(tmp_path, capsys):

@@ -9,6 +9,7 @@ from peeraudit import datasets, experiments
 from peeraudit.experiments import (
     AuditSummary,
     RunRecord,
+    audit,
     block_agreement,
     histogram_counts,
     ols_regression,
@@ -251,16 +252,31 @@ def test_records_csv_recomputes_summary():
 # --- planted benchmark ----------------------------------------------------
 
 
-def test_becd_records_are_pinned():
-    # digests of the records from before the BiCM fit and the dyad kernel
-    # worked on classes: a later change that moves any record fails here
+@pytest.mark.parametrize("method, digests", [
+    pytest.param("becd", (
+        "a668a6dcc2bc4725d9b50ab2281d6bb483c232972f9a0fd1db8023f3bf349ee2",
+        "7a6413aab3a38a36c294a76b08a80dd8b071f0107d5deea9f04efea5af523307",
+        "6c82c79fbf9228500933a8a53dfb9ecef71b82a7629bf2d8c2f0feb482a4c40c",
+    ), id="becd"),
+    pytest.param("scm-fifty", (
+        "47e1bab6eceed6a23c5c46814ca769748cd65f4ae3407cba93bb6b0832af30be",
+        "5f9e5993f781935aad862871907d39f1d549a2fc6e6ab853fed528f0d4c6d140",
+        "02c6913b25dc6bddfe1ff9bc56c95aeab511478d49ee73cc8466da196b911d10",
+    ), id="scm-fifty"),
+])
+def test_audit_records_are_pinned(method, digests):
+    # digests of the records of 50 shuffles of the benchmark, 50 generated
+    # classrooms (seed 0) and the benchmark's own one trial: a change that
+    # moves any record fails here. The BE-CD ones date from before the BiCM
+    # fit and the dyad kernel worked on classes; a roster-independent
+    # tie-break in the fifty rule would change the scm-fifty ones on purpose
     def digest(records):
         return hashlib.sha256(records_to_csv(records).encode()).hexdigest()
 
-    shuffled, _ = run_shuffle_audit(datasets.load_benchmark(), "becd", 50, seed=0)
-    generated, _ = run_profile_audit("becd", 50, seed=0)
-    assert digest(shuffled) == "a668a6dcc2bc4725d9b50ab2281d6bb483c232972f9a0fd1db8023f3bf349ee2"
-    assert digest(generated) == "7a6413aab3a38a36c294a76b08a80dd8b071f0107d5deea9f04efea5af523307"
+    bench = datasets.load_benchmark()
+    runs = [audit("shuffle", method, 50, 0, bench), audit("generate", method, 50, 0),
+            audit(None, method, 1, 0, bench)]
+    assert tuple(digest(records) for records, _ in runs) == digests
 
 
 def test_benchmark_fixture_shape():

@@ -344,6 +344,20 @@ def test_draw_classroom_fixed_profile():
         draw_classroom(np.random.default_rng(4), profile=ClassroomProfile(40, 10, 0.9, 0.0, 0.0))
 
 
+def test_null_draws_map_a_seed_to_its_classroom():
+    rm = load_benchmark()
+    shuffled, profile = nullmodels.null_draws("shuffle", rm)(9)
+    assert profile is None
+    assert np.array_equal(shuffled.entries, curveball_randomize(rm, seed=9).entries)
+    drawn, generated = draw_classroom(np.random.default_rng(9))
+    classroom, profile = nullmodels.null_draws("generate")(9)
+    assert profile == drawn and np.array_equal(classroom.entries, generated.entries)
+    classroom, profile = nullmodels.null_draws(None, rm)(9)
+    assert classroom is rm and profile is None
+    with pytest.raises(ValueError, match="unknown null model"):
+        nullmodels.null_draws("bicm", rm)
+
+
 def _beta_skew(mean, conc):
     a, b = mean * conc, (1.0 - mean) * conc
     return 2.0 * (b - a) * np.sqrt(a + b + 1.0) / ((a + b + 2.0) * np.sqrt(a * b))

@@ -24,7 +24,6 @@ from .recall import RecallMatrix
 from .scm import cooccurrence
 
 MARGIN_TOL = 1e-6
-MAX_FIT_ITER = 10_000
 
 
 class ConvergenceError(RuntimeError):
@@ -43,17 +42,18 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
     """Cell probabilities p_ij = x_i y_j / (1 + x_i y_j) matching both margins.
 
     Saturated rows/columns (all ones or all zeros relative to the active
-    submatrix) are peeled off as fixed cells; the rest is solved by
-    alternating fixed-point iteration on the multipliers, for at most
-    ``MAX_FIT_ITER`` steps, until every margin is within ``MARGIN_TOL``.
-
-    Rows with equal sums start with equal multipliers and every update
-    keeps them equal, and so do columns. So the iteration runs on the
-    distinct active row sums x distinct column sums, each sum weighted by
-    the number of rows or columns that have it, and is expanded to every
-    cell at the end: the same iterates as on the full submatrix, up to
-    rounding in the order of the sums. A stalled iteration falls back to
-    Newton's method on the full submatrix, from the expanded multipliers.
+    submatrix) are peeled off as fixed cells. The rest is solved by
+    Newton's method on log-multipliers, from x_i = r_i / sqrt(total) and
+    y_j = c_j / sqrt(total). Rows with equal sums have equal multipliers
+    there and at every iterate, and so do columns; so the unknowns are one
+    per distinct active row sum and per distinct column sum, each term of a
+    margin weighted by the number of rows or columns that share its sum,
+    and the iterates are the full submatrix's up to rounding. The scale
+    gauge (x -> cx, y -> y/c) fixes the first column class's multiplier
+    and drops its redundant equation. Steps are halved until the largest
+    margin residual falls; the solve stops below ``MARGIN_TOL`` / 1000,
+    after 100 steps or at a singular Jacobian, and a fit that misses a
+    margin by ``MARGIN_TOL`` raises ``ConvergenceError``.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.size == 0 or not np.isin(r, (0.0, 1.0)).all():
@@ -101,34 +101,44 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
         # one multiplier per distinct margin, weighted by its multiplicity
         row_sums, row_class, row_count = np.unique(rt, return_inverse=True, return_counts=True)
         col_sums, col_class, col_count = np.unique(ct, return_inverse=True, return_counts=True)
-        x = row_sums / np.sqrt(total)
-        y = col_sums / np.sqrt(total)
-        err = np.inf
-        checkpoint = np.inf
-        for it in range(MAX_FIT_ITER):
-            denom = 1.0 + np.outer(x, y)
-            x = row_sums / (col_count * y / denom).sum(axis=1)
-            denom = 1.0 + np.outer(x, y)
-            y = col_sums / ((row_count * x)[:, None] / denom).sum(axis=0)
-            probs = np.outer(x, y)
+        k = row_sums.size
+        y0 = col_sums[0] / np.sqrt(total)  # the gauge: x -> cx, y -> y/c
+
+        def fun_jac(theta):
+            y = np.empty(col_sums.size)
+            y[0] = y0
+            y[1:] = np.exp(theta[k:])
+            probs = np.outer(np.exp(theta[:k]), y)
             probs /= 1.0 + probs
-            err = max(
-                np.abs((probs * col_count).sum(axis=1) - row_sums).max(),
-                np.abs((row_count[:, None] * probs).sum(axis=0) - col_sums).max(),
-            )
-            if err < MARGIN_TOL:
+            f = np.concatenate([probs @ col_count - row_sums, (row_count @ probs - col_sums)[1:]])
+            w = probs * (1.0 - probs)  # d p / d log-multiplier
+            wr, wc = w * col_count, (row_count[:, None] * w)[:, 1:]
+            jac = np.diag(np.concatenate([wr.sum(axis=1), wc.sum(axis=0)]))
+            jac[:k, k:] = wr[:, 1:]
+            jac[k:, :k] = wc.T
+            return f, jac, probs
+
+        theta = np.log(np.concatenate([row_sums, col_sums[1:]]) / np.sqrt(total))
+        f, jac, probs = fun_jac(theta)
+        for _ in range(100):
+            resid = np.abs(f).max()
+            if resid < MARGIN_TOL / 1000:
                 break
-            if it % 100 == 99:  # stalled iteration: switch to Newton
-                if err > 0.5 * checkpoint:
+            try:
+                step = np.linalg.solve(jac, f)
+            except np.linalg.LinAlgError:
+                break
+            for scale in 0.5 ** np.arange(50):
+                trial = fun_jac(theta - scale * step)
+                if np.abs(trial[0]).max() < resid:
                     break
-                checkpoint = err
-        if err < MARGIN_TOL:
-            probs = probs[np.ix_(row_class, col_class)]
-        else:
-            probs = _newton_multipliers(rt, ct, x[row_class], y[col_class])
-            err = _margin_error(probs, rt, ct)
-            if err >= MARGIN_TOL:
-                raise ConvergenceError(f"margin residual {err:.3e}")
+            else:
+                break
+            theta, (f, jac, probs) = theta - scale * step, trial
+        probs = probs[np.ix_(row_class, col_class)]
+        err = _margin_error(probs, rt, ct)
+        if err >= MARGIN_TOL:
+            raise ConvergenceError(f"margin residual {err:.3e}")
         p[np.ix_(ri, ci)] = probs
     resid = _margin_error(p, r.sum(axis=1), r.sum(axis=0))
     if resid > 10 * MARGIN_TOL:
@@ -143,63 +153,16 @@ def _margin_error(probs, row_sums, col_sums) -> float:
     )
 
 
-def _newton_multipliers(rt, ct, x0, y0):
-    """Solve the margin equations by Newton's method on log-multipliers
-    and return the cell probabilities.
-
-    Robust fallback for margins where the fixed point crawls. The scale
-    gauge (x -> cx, y -> y/c) is fixed by freezing the first column
-    multiplier and dropping its (redundant) equation. Steps are halved until
-    the residual falls, for at most 100 steps; the caller checks the margins.
-    """
-    n, m = x0.size, y0.size
-
-    def fun_jac(theta):
-        x = np.exp(theta[:n])
-        y = np.empty(m)
-        y[0] = y0[0]
-        y[1:] = np.exp(theta[n:])
-        probs = np.outer(x, y)
-        probs /= 1.0 + probs
-        f = np.concatenate(
-            [probs.sum(axis=1) - rt, probs.sum(axis=0)[1:] - ct[1:]]
-        )
-        w = probs * (1.0 - probs)  # d p / d log-multiplier
-        jac = np.zeros((n + m - 1, n + m - 1))
-        jac[:n, :n] = np.diag(w.sum(axis=1))
-        jac[:n, n:] = w[:, 1:]
-        jac[n:, :n] = w[:, 1:].T
-        jac[n:, n:] = np.diag(w[:, 1:].sum(axis=0))
-        return f, jac, probs
-
-    theta = np.concatenate([np.log(x0), np.log(y0[1:])])
-    f, jac, probs = fun_jac(theta)
-    for _ in range(100):
-        resid = np.abs(f).max()
-        if resid < MARGIN_TOL / 1000:
-            break
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError:
-            break
-        for scale in 0.5 ** np.arange(50):
-            trial = fun_jac(theta - scale * step)
-            if np.abs(trial[0]).max() < resid:
-                break
-        else:
-            break
-        theta, (f, jac, probs) = theta - scale * step, trial
-    return probs
-
-
 def poisson_binomial_upper_tail(probs, observed: int) -> float:
     """P(X >= observed) for X a sum of independent Bernoulli(probs) trials,
     exact by the O(m * observed) survival recursion."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or ((probs < 0) | (probs > 1)).any():
+    if probs.ndim != 1 or not ((probs >= 0) & (probs <= 1)).all():  # NaN fails too
         raise ValueError("probs must be a vector of probabilities")
     if not 0 <= observed <= probs.size:
         raise ValueError(f"observed must be in [0, {probs.size}]")
+    if isinstance(observed, (bool, np.bool_)) or observed != int(observed):
+        raise ValueError(f"observed must be an integer count, got {observed!r}")
     return float(_upper_tails(probs[:, None], np.array([int(observed)]), np.zeros(1, int))[0])
 
 

@@ -48,7 +48,8 @@ def _write_json(path: pathlib.Path, payload: dict) -> None:
 
 
 def _write_manifest(ctx, out: pathlib.Path, **resolved) -> None:
-    """Every flag as parsed, updated by ``resolved`` for flags left at None."""
+    """Every flag as parsed, updated by ``resolved`` for values the command
+    settled itself: a flag left at None, or the trial count that ran."""
     _write_json(
         out / "manifest.json",
         {
@@ -206,7 +207,8 @@ def simulate_cmd(ctx, mode, reports, profile, trials):
 @click.option("--study", type=click.Choice(list(STUDIES)), required=True)
 @click.option("--method", type=click.Choice(experiments.METHODS), default=None,
               help="Pipeline to audit; defaults to the study's own method.")
-@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True,
+              help="Null classrooms to audit; studies 1 and 4a audit the benchmark once.")
 @click.option("--threshold", type=click.FloatRange(0, 1), default=scm.DEFAULT_THRESHOLD, show_default=True)
 @click.option("--alpha", type=click.FloatRange(0, 1, min_open=True), default=0.05, show_default=True)
 @click.pass_context
@@ -221,7 +223,8 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha):
     seed = ctx.obj["seed"]
     out = _out_dir(ctx)
     rm = None if null == "generate" else datasets.load_benchmark()
-    records, summary = experiments.audit(null, method, trials if null else 1, seed, rm, threshold, alpha)
+    trials = trials if null else 1
+    records, summary = experiments.audit(null, method, trials, seed, rm, threshold, alpha)
     extra: dict = {"study": study, "method": method}
     if null is None:  # the benchmark's one trial again, for its groups
         assignment, _ = experiments.run_pipeline(rm, method, threshold, alpha, seed)
@@ -239,7 +242,7 @@ def audit_cmd(ctx, study, method, trials, threshold, alpha):
             out / "regression.json",
             {**dataclasses.asdict(regression), "predictor_basis": "generator profile parameters"},
         )
-    _write_manifest(ctx, out, method=method)
+    _write_manifest(ctx, out, method=method, trials=trials)
     click.echo(
         f"study {study} ({method}): frac_positive={summary.frac_positive:.4g} "
         f"mean_P={summary.mean_p:.4g}"

@@ -1,10 +1,11 @@
 """SDSM backbone extraction: BiCM fit, Poisson-binomial tails, edges."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from peeraudit import backbone
 from peeraudit.backbone import (
     MARGIN_TOL,
     ConvergenceError,
@@ -15,7 +16,13 @@ from peeraudit.backbone import (
 )
 from peeraudit._kernels import dyad_pvalues
 from peeraudit.datasets import load_benchmark
-from peeraudit.nullmodels import draw_classroom
+from peeraudit.nullmodels import (
+    MAX_NOMINATION_SKEW,
+    PROFILE_BOUNDS,
+    ClassroomProfile,
+    draw_classroom,
+    generate_classroom,
+)
 from peeraudit.recall import RecallMatrix
 from peeraudit.scm import cooccurrence
 
@@ -62,31 +69,86 @@ def test_fit_rejects_bad_input():
         fit_bicm(np.zeros((2, 2)))
 
 
-def _fallback_classroom():
-    # a generated classroom whose fixed-point iteration stalls above MARGIN_TOL
+def _stalled_classroom():
+    # a generated classroom on which a fixed-point iteration of the
+    # multipliers stalls above MARGIN_TOL
     return draw_classroom(np.random.default_rng(852))[1].entries
 
 
-def test_fit_newton_fallback_reaches_the_margins(monkeypatch):
-    calls = []
-    newton = backbone._newton_multipliers
-
-    def spy(*args):
-        calls.append(args)
-        return newton(*args)
-
-    monkeypatch.setattr(backbone, "_newton_multipliers", spy)
-    r = _fallback_classroom()
+def test_fit_reaches_the_margins_where_the_fixed_point_stalls():
+    r = _stalled_classroom()
     p = fit_bicm(r)
-    assert len(calls) == 1
     assert np.abs(p.sum(axis=1) - r.sum(axis=1)).max() < MARGIN_TOL
     assert np.abs(p.sum(axis=0) - r.sum(axis=0)).max() < MARGIN_TOL
 
 
+def _extreme_profiles():
+    """The corners of PROFILE_BOUNDS, and those corners again with the
+    nomination skew at either end of its allowed range."""
+    bounds = dict(PROFILE_BOUNDS)
+    corners = list(itertools.product(*bounds.values()))
+    bounds["nomination_skew"] = (-MAX_NOMINATION_SKEW, MAX_NOMINATION_SKEW)
+    corners += itertools.product(*bounds.values())
+    return [ClassroomProfile(**dict(zip(bounds, c))) for c in corners]
+
+
+def test_fit_converges_at_the_generators_extremes():
+    profiles = _extreme_profiles()
+    assert len(profiles) == 64
+    for i, profile in enumerate(profiles):
+        for seed in range(5):
+            r = generate_classroom(profile, seed=100 * i + seed).entries
+            p = fit_bicm(r)  # raises ConvergenceError on a fit that misses
+            assert np.abs(p.sum(axis=1) - r.sum(axis=1)).max() < MARGIN_TOL
+            assert np.abs(p.sum(axis=0) - r.sum(axis=0)).max() < MARGIN_TOL
+
+
+def _newton_reference(rt, ct):
+    """Cell probabilities by Newton's method on one log-multiplier per row
+    and per column, from x_i = rt_i / sqrt(total), y_j = ct_j / sqrt(total).
+    The scale gauge (x -> cx, y -> y/c) is fixed by freezing the first
+    column multiplier and dropping its equation; steps are halved until
+    the residual falls, for at most 100 steps."""
+    n, m = rt.size, ct.size
+    x0, y0 = rt / np.sqrt(rt.sum()), ct / np.sqrt(rt.sum())
+
+    def fun_jac(theta):
+        x = np.exp(theta[:n])
+        y = np.empty(m)
+        y[0] = y0[0]
+        y[1:] = np.exp(theta[n:])
+        probs = np.outer(x, y)
+        probs /= 1.0 + probs
+        f = np.concatenate([probs.sum(axis=1) - rt, probs.sum(axis=0)[1:] - ct[1:]])
+        w = probs * (1.0 - probs)
+        jac = np.zeros((n + m - 1, n + m - 1))
+        jac[:n, :n] = np.diag(w.sum(axis=1))
+        jac[:n, n:] = w[:, 1:]
+        jac[n:, :n] = w[:, 1:].T
+        jac[n:, n:] = np.diag(w[:, 1:].sum(axis=0))
+        return f, jac, probs
+
+    theta = np.concatenate([np.log(x0), np.log(y0[1:])])
+    f, jac, probs = fun_jac(theta)
+    for _ in range(100):
+        resid = np.abs(f).max()
+        if resid < MARGIN_TOL / 1000:
+            break
+        step = np.linalg.solve(jac, f)
+        for scale in 0.5 ** np.arange(50):
+            trial = fun_jac(theta - scale * step)
+            if np.abs(trial[0]).max() < resid:
+                break
+        else:
+            break
+        theta, (f, jac, probs) = theta - scale * step, trial
+    return probs
+
+
 def _fit_bicm_reference(r):
     """The BiCM fit with one multiplier per child and per report: the same
-    peel, start, update order and stopping rules as ``fit_bicm``, iterated
-    on the full active submatrix."""
+    peel, start and stopping rule as ``fit_bicm``, solved by Newton's
+    method on the full active submatrix."""
     r = np.asarray(r, dtype=np.float64)
     n, m = r.shape
     p = np.zeros((n, m))
@@ -122,30 +184,7 @@ def _fit_bicm_reference(r):
     ri = np.flatnonzero(rows_active)
     ci = np.flatnonzero(cols_active)
     if ri.size and ci.size:
-        rt = row_t[ri]
-        ct = col_t[ci]
-        total = rt.sum()
-        x = rt / np.sqrt(total)
-        y = ct / np.sqrt(total)
-        err = np.inf
-        checkpoint = np.inf
-        for it in range(backbone.MAX_FIT_ITER):
-            denom = 1.0 + np.outer(x, y)
-            x = rt / (y / denom).sum(axis=1)
-            denom = 1.0 + np.outer(x, y)
-            y = ct / (x[:, None] / denom).sum(axis=0)
-            probs = np.outer(x, y)
-            probs /= 1.0 + probs
-            err = backbone._margin_error(probs, rt, ct)
-            if err < MARGIN_TOL:
-                break
-            if it % 100 == 99:
-                if err > 0.5 * checkpoint:
-                    break
-                checkpoint = err
-        if err >= MARGIN_TOL:
-            probs = backbone._newton_multipliers(rt, ct, x, y)
-        p[np.ix_(ri, ci)] = probs
+        p[np.ix_(ri, ci)] = _newton_reference(row_t[ri], col_t[ci])
     return p
 
 
@@ -163,8 +202,10 @@ def _peeled_matrices():
 
 
 def _assert_matches_reference(r, atol=0.0):
+    # the class-reduced Newton iterates are the full-matrix ones, and on
+    # seeds 100-139 the cells differ by at most 4.2e-13 relative
     p, ref = fit_bicm(r), _fit_bicm_reference(r)
-    np.testing.assert_allclose(p, ref, rtol=1e-13, atol=atol)
+    np.testing.assert_allclose(p, ref, rtol=1e-12, atol=atol)
     rm = _rm(r)
     cooc = cooccurrence(rm).astype(np.int64)
     pvals, ref_pvals = dyad_pvalues(p, cooc), dyad_pvalues(ref, cooc)
@@ -178,22 +219,10 @@ def test_fit_matches_full_matrix_reference():
     matrices += [draw_classroom(np.random.default_rng(s))[1].entries for s in range(100, 140)]
     for r in matrices:
         _assert_matches_reference(r)
-
-
-def test_fit_newton_fallback_matches_full_matrix_reference(monkeypatch):
-    calls = []
-    newton = backbone._newton_multipliers
-
-    def spy(*args):
-        calls.append(args)
-        return newton(*args)
-
-    monkeypatch.setattr(backbone, "_newton_multipliers", spy)
-    # Newton starts within 2e-15 of the reference's start, but its
-    # Jacobian is near singular along cells below 1e-9, which the margins
-    # barely fix: those differ by up to 1.5e-15 absolute (3e-6 relative)
-    _assert_matches_reference(_fallback_classroom(), atol=1e-14)
-    assert len(calls) == 2  # the fit's fallback and the reference's
+    # the Jacobian is near singular along this classroom's cells below
+    # about 1e-9, which the margins barely fix: they differ by up to 2e-6
+    # relative but 8e-16 absolute
+    _assert_matches_reference(_stalled_classroom(), atol=1e-14)
 
 
 def test_fit_singular_newton_step_is_a_convergence_error(monkeypatch):
@@ -202,7 +231,7 @@ def test_fit_singular_newton_step_is_a_convergence_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(ConvergenceError, match="margin residual"):
-        fit_bicm(_fallback_classroom())
+        fit_bicm(load_benchmark().entries)
 
 
 # --- Poisson binomial -----------------------------------------------------
@@ -314,6 +343,15 @@ def test_tail_input_validation():
         poisson_binomial_upper_tail([0.5], 2)
     with pytest.raises(ValueError):
         poisson_binomial_upper_tail([1.5], 1)
+    for probs in ([np.nan, 0.5], [0.5, -0.1]):
+        with pytest.raises(ValueError, match="probabilities"):
+            poisson_binomial_upper_tail(probs, 1)
+    # P(X >= 1.5) is 0.25 here, not the 0.75 of P(X >= 1)
+    for observed in (1.5, np.float64(0.5), np.nan, np.inf, True, np.True_):
+        with pytest.raises(ValueError, match="observed"):
+            poisson_binomial_upper_tail([0.5, 0.5], observed)
+    for observed in (1, 1.0, np.int64(1), np.float32(1)):
+        assert poisson_binomial_upper_tail([0.5, 0.5], observed) == 0.75
 
 
 # --- holm -----------------------------------------------------------------

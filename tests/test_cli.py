@@ -12,7 +12,7 @@ import pytest
 import peeraudit
 from peeraudit import experiments, nullmodels
 from peeraudit.backbone import ConvergenceError
-from peeraudit.cli import cli, main
+from peeraudit.cli import STUDIES, cli, main
 from peeraudit.recall import DataError, load_reports, to_report_lines
 
 REPORTS = "ana,bea,cora\nana,bea,cora\nana,bea\ndina,eve\ndina,eve,fay\ndina,eve,fay\n"
@@ -357,6 +357,16 @@ def test_manifest_config_records_every_parameter(tmp_path, reports_file):
         assert manifest["subcommand"] == name
         assert set(manifest["config"]) == {p.name for p in cli.commands[name].params}
     assert manifest["config"]["method"] == "scm-fifty"  # audit's default, as resolved
+
+
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_audit_manifest_records_the_trials_that_ran(tmp_path, study):
+    # studies 1 and 4a audit the benchmark once, whatever --trials says
+    trials = experiments.MIN_REGRESSION_RECORDS
+    assert main(["--out", str(tmp_path), "audit", "--study", study, "--trials", str(trials)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rows = (tmp_path / "records.csv").read_text().splitlines()[2:]
+    assert manifest["config"]["trials"] == len(rows) == (1 if study in ("1", "4a") else trials)
 
 
 def test_exit_code_missing_input(tmp_path):

@@ -98,7 +98,7 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
         rt = row_t[ri]
         ct = col_t[ci]
         total = rt.sum()
-        # one multiplier per distinct margin, weighted by its multiplicity
+        # one log-multiplier per distinct margin (see the docstring)
         row_sums, row_class, row_count = np.unique(rt, return_inverse=True, return_counts=True)
         col_sums, col_class, col_count = np.unique(ct, return_inverse=True, return_counts=True)
         k = row_sums.size

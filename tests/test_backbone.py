@@ -219,9 +219,13 @@ def test_fit_matches_full_matrix_reference():
     matrices += [draw_classroom(np.random.default_rng(s))[1].entries for s in range(100, 140)]
     for r in matrices:
         _assert_matches_reference(r)
-    # the Jacobian is near singular along this classroom's cells below
-    # about 1e-9, which the margins barely fix: they differ by up to 2e-6
-    # relative but 8e-16 absolute
+
+
+def test_fit_newton_fallback_matches_full_matrix_reference():
+    # the classroom on which a fixed-point iteration stalls and Newton's
+    # method is what reaches the margins; the Jacobian is near singular
+    # along its cells below about 1e-9, which the margins barely fix: they
+    # differ by up to 2e-6 relative but 8e-16 absolute
     _assert_matches_reference(_stalled_classroom(), atol=1e-14)
 
 

@@ -1,0 +1,123 @@
+#!/usr/bin/env python
+"""Check that two checkouts of peeraudit write byte-identical outputs.
+
+    python scripts/compare_outputs.py PARENT CHANGE [--trials N] [--seeds S ...]
+
+PARENT and CHANGE are checkout roots. For each, the same ``peeraudit``
+commands run as ``python -m peeraudit.cli`` with that checkout's ``src``
+alone on PYTHONPATH, from a work directory of its own and with the same
+relative paths, so that ``manifest.json`` compares too. At each seed they
+are: ``audit --study`` 1, 2, 3, 4a, 4b and 4c, and 2 and 3 again with
+``--method scm-components``; ``scm`` (both rules) and ``becd`` (both
+corrections) on a copy of the checkout's benchmark report file; and
+``simulate`` in shuffle and generate mode, the latter with and without a
+fixed ``--profile``, for 50 trials. Each command's exit code, stdout and
+stderr are compared with its files. Every file that differs or exists on
+one side only, and every command that exits nonzero, is printed, and the
+exit status is 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+BENCHMARK_REPORTS = pathlib.Path("src", "peeraudit", "data", "benchmark_reports.txt")
+PROFILE = {"n_children": 20, "n_reports": 60, "nomination_probability": 0.25,
+           "nomination_skew": 0.5, "group_size_skew": 0.5}
+SIMULATE_TRIALS = "50"
+
+
+def commands(trials: int, seeds: list[int]):
+    """(name, argv after ``python -m peeraudit.cli``) for every run."""
+    for seed in seeds:
+        def run(name, *args):
+            return f"seed{seed}/{name}", ["--seed", str(seed), "--out", f"out/seed{seed}/{name}", *args]
+
+        for study in ("1", "2", "3", "4a", "4b", "4c"):
+            yield run(f"study{study}", "audit", "--study", study, "--trials", str(trials))
+        for study in ("2", "3"):
+            yield run(f"study{study}-scm-components", "audit", "--study", study,
+                      "--method", "scm-components", "--trials", str(trials))
+        for rule in ("fifty", "components"):
+            yield run(f"scm-{rule}", "scm", "reports.txt", "--rule", rule)
+        for correction in ("none", "holm"):
+            yield run(f"becd-{correction}", "becd", "reports.txt", "--correction", correction)
+        yield run("simulate-shuffle", "simulate", "--mode", "shuffle", "--reports", "reports.txt",
+                  "--trials", SIMULATE_TRIALS)
+        yield run("simulate-generate", "simulate", "--mode", "generate", "--trials", SIMULATE_TRIALS)
+        yield run("simulate-profile", "simulate", "--mode", "generate", "--profile", "profile.json",
+                  "--trials", SIMULATE_TRIALS)
+
+
+def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs) -> None:
+    src = (checkout / "src").resolve()
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PEERAUDIT_")}
+    env["PYTHONPATH"] = str(src)
+    work.mkdir()
+    found = subprocess.run(
+        [sys.executable, "-c", "import peeraudit; print(peeraudit.__file__)"],
+        cwd=work, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if pathlib.Path(found).resolve().parent.parent != src:
+        raise SystemExit(f"peeraudit imported from {found}, not from {src}")
+    shutil.copyfile(checkout / BENCHMARK_REPORTS, work / "reports.txt")
+    (work / "profile.json").write_text(json.dumps(PROFILE), encoding="utf-8")
+    for name, argv in jobs:
+        done = subprocess.run([sys.executable, "-m", "peeraudit.cli", *argv],
+                              cwd=work, env=env, capture_output=True)
+        log = work / "log" / f"{name}.txt"
+        log.parent.mkdir(parents=True, exist_ok=True)
+        log.write_bytes(b"exit %d\n--- stdout\n%s--- stderr\n%s"
+                        % (done.returncode, done.stdout, done.stderr))
+
+
+def differences(a: pathlib.Path, b: pathlib.Path) -> list[str]:
+    def files(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    fa, fb = files(a), files(b)
+    out = [f"only in PARENT: {p}" for p in sorted(fa - fb)]
+    out += [f"only in CHANGE: {p}" for p in sorted(fb - fa)]
+    out += [f"differs: {p}" for p in sorted(fa & fb) if (a / p).read_bytes() != (b / p).read_bytes()]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=pathlib.Path)
+    parser.add_argument("change", type=pathlib.Path)
+    parser.add_argument("--trials", type=int, default=1000, help="audit trials per study")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 5000])
+    args = parser.parse_args(argv)
+    jobs = list(commands(args.trials, args.seeds))
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [pathlib.Path(tmp, "parent"), pathlib.Path(tmp, "change")]
+        # each side runs its commands one after another, the sides in parallel
+        with ThreadPoolExecutor(2) as pool:
+            for future in [pool.submit(run_side, checkout, work, jobs)
+                           for checkout, work in zip((args.parent, args.change), sides)]:
+                future.result()
+        found = differences(*sides)
+        # a command that fails on both sides leaves nothing to compare
+        for side, work in zip(("PARENT", "CHANGE"), sides):
+            for log in sorted((work / "log").rglob("*.txt")):
+                status = log.read_text(encoding="utf-8", errors="replace").split("\n", 1)[0]
+                if status != "exit 0":
+                    found.append(f"{status} in {side}: {log.relative_to(work / 'log').with_suffix('')}")
+        n_files = sum(1 for p in sides[0].rglob("*") if p.is_file())
+    for line in found:
+        print(line)
+    print(f"{len(jobs)} commands per side, {n_files} files in PARENT; {len(found)} findings")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

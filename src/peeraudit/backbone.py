@@ -41,62 +41,38 @@ class BackboneResult:
 def fit_bicm(r: np.ndarray) -> np.ndarray:
     """Cell probabilities p_ij = x_i y_j / (1 + x_i y_j) matching both margins.
 
-    Saturated rows/columns (all ones or all zeros relative to the active
-    submatrix) are peeled off as fixed cells. The rest is solved by
-    Newton's method on log-multipliers, from x_i = r_i / sqrt(total) and
-    y_j = c_j / sqrt(total). Rows with equal sums have equal multipliers
-    there and at every iterate, and so do columns; so the unknowns are one
-    per distinct active row sum and per distinct column sum, each term of a
-    margin weighted by the number of rows or columns that share its sum,
-    and the iterates are the full submatrix's up to rounding. The scale
-    gauge (x -> cx, y -> y/c) fixes the first column class's multiplier
-    and drops its redundant equation. Steps are halved until the largest
-    margin residual falls; the solve stops below ``MARGIN_TOL`` / 1000,
-    after 100 steps or at a singular Jacobian, and a fit that misses a
-    margin by ``MARGIN_TOL`` raises ``ConvergenceError``.
+    Rows and columns whose active cells are all 0 or all 1 are forced, and
+    are peeled off until none is left; a peeled cell keeps the input's
+    value. The core is solved by Newton's method on log-multipliers, from
+    x_i = r_i / sqrt(total) and y_j = c_j / sqrt(total) on its margins.
+    Rows with equal sums have equal multipliers there and at every iterate,
+    and so do columns; so the unknowns are one per distinct core row sum
+    and per distinct column sum, each term of a margin weighted by the
+    number of rows or columns that share its sum, and the iterates are the
+    full core's up to rounding. The scale gauge (x -> cx, y -> y/c) fixes
+    the first column class's multiplier and drops its redundant equation.
+    Steps are halved until the largest margin residual falls; the solve
+    stops below ``MARGIN_TOL`` / 1000, after 100 steps or at a singular
+    Jacobian, and a fit that misses a margin of ``r`` by ``MARGIN_TOL``
+    raises ``ConvergenceError``.
     """
     r = np.asarray(r, dtype=np.float64)
-    if r.size == 0 or not np.isin(r, (0.0, 1.0)).all():
+    if r.size == 0 or not ((r == 0) | (r == 1)).all():
         raise ValueError("input must be a nonempty binary matrix")
-    n, m = r.shape
     if r.sum() == 0:
         raise ValueError("degenerate all-zero matrix")
-    p = np.zeros((n, m))
-    row_t = r.sum(axis=1).copy()
-    col_t = r.sum(axis=0).copy()
-    rows_active = np.ones(n, dtype=bool)
-    cols_active = np.ones(m, dtype=bool)
-    # peel rows/columns whose cells are forced to 0 or 1
+    p = (r == 1).astype(np.float64)  # the input's cells, -0.0 read as 0.0
+    ri, ci = np.arange(r.shape[0]), np.arange(r.shape[1])
+    # peeling a forced line leaves every other forced line forced, so
+    # dropping all of them at once ends in the same core as any order
     while True:
-        na, ma = rows_active.sum(), cols_active.sum()
-        if na == 0 or ma == 0:
+        core = r[np.ix_(ri, ci)]
+        rt, ct = core.sum(axis=1), core.sum(axis=0)
+        free_rows, free_cols = (rt > 0) & (rt < ci.size), (ct > 0) & (ct < ri.size)
+        if free_rows.all() and free_cols.all():
             break
-        zero_rows = rows_active & (row_t <= 0)
-        full_rows = rows_active & (row_t >= ma)
-        zero_cols = cols_active & (col_t <= 0)
-        full_cols = cols_active & (col_t >= na)
-        if not (zero_rows.any() or full_rows.any() or zero_cols.any() or full_cols.any()):
-            break
-        if full_rows.any():
-            p[np.ix_(full_rows, cols_active)] = 1.0
-            col_t[cols_active] -= full_rows.sum()
-            rows_active &= ~full_rows
-        if zero_rows.any():
-            rows_active &= ~zero_rows
-        na = rows_active.sum()
-        if full_cols.any():
-            full_cols &= col_t >= na  # recheck after row peeling
-        if full_cols.any():
-            p[np.ix_(rows_active, full_cols)] = 1.0
-            row_t[rows_active] -= full_cols.sum()
-            cols_active &= ~full_cols
-        if zero_cols.any():
-            cols_active &= ~zero_cols
-    ri = np.flatnonzero(rows_active)
-    ci = np.flatnonzero(cols_active)
-    if ri.size and ci.size:
-        rt = row_t[ri]
-        ct = col_t[ci]
+        ri, ci = ri[free_rows], ci[free_cols]
+    if ri.size:  # an empty core has no columns either
         total = rt.sum()
         # one log-multiplier per distinct margin (see the docstring)
         row_sums, row_class, row_count = np.unique(rt, return_inverse=True, return_counts=True)
@@ -135,14 +111,10 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
             else:
                 break
             theta, (f, jac, probs) = theta - scale * step, trial
-        probs = probs[np.ix_(row_class, col_class)]
-        err = _margin_error(probs, rt, ct)
-        if err >= MARGIN_TOL:
-            raise ConvergenceError(f"margin residual {err:.3e}")
-        p[np.ix_(ri, ci)] = probs
-    resid = _margin_error(p, r.sum(axis=1), r.sum(axis=0))
-    if resid > 10 * MARGIN_TOL:
-        raise ConvergenceError(f"margin residual {resid:.3e} after peeling")
+        p[np.ix_(ri, ci)] = probs[np.ix_(row_class, col_class)]
+    err = _margin_error(p, r.sum(axis=1), r.sum(axis=0))
+    if err >= MARGIN_TOL:
+        raise ConvergenceError(f"margin residual {err:.3e}")
     return p
 
 
@@ -190,16 +162,12 @@ def extract_backbone(
         raise ValueError(f"unknown correction {correction!r}")
     cooc = cooccurrence(rm)
     cell_p = fit_bicm(rm.entries)
-    pvals = np.asarray(_dyad_pvalues(cell_p, cooc.astype(np.int64)))
-    n = rm.n_children
-    if correction == "holm" and n > 1:
-        iu, ju = np.triu_indices(n, 1)
-        adj = holm_adjust(pvals[iu, ju])
-        effective = np.ones((n, n))
-        effective[iu, ju] = adj
-        effective[ju, iu] = adj
-    else:
-        effective = pvals
+    pvals = _dyad_pvalues(cell_p, cooc)
+    effective = pvals
+    if correction == "holm":
+        iu, ju = np.triu_indices(rm.n_children, 1)
+        effective = pvals.copy()  # its diagonal is 1 already
+        effective[iu, ju] = effective[ju, iu] = holm_adjust(pvals[iu, ju])
     network = ((effective <= alpha) & (cooc >= 1)).astype(np.int8)
     np.fill_diagonal(network, 0)
     return BackboneResult(pvalues=pvals, network=network, alpha=alpha, correction=correction)

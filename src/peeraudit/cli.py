@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 import pathlib
 import sys
 
@@ -156,13 +155,6 @@ def _load_profile(path) -> nullmodels.ClassroomProfile:
     for key in names:
         if key not in raw:
             raise DataError(f"profile {path}: missing key {key!r}")
-        value = raw[key]
-        count = key in ("n_children", "n_reports")
-        kinds = int if count else (int, float)
-        if (isinstance(value, bool) or not isinstance(value, kinds)
-                or isinstance(value, float) and not math.isfinite(value)):
-            kind = "an integer" if count else "a finite number"
-            raise DataError(f"profile {path}: {key} must be {kind}, got {value!r}")
     try:
         profile = nullmodels.ClassroomProfile(**raw)
         nullmodels.check_feasible(profile)

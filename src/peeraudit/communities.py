@@ -109,26 +109,6 @@ def _louvain(net: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return flat
 
 
-def _exact_by_component(net: np.ndarray):
-    """Exact optimum as the union of per-component optima, scored against
-    the whole network's 2m; None if a component exceeds ``EXACT_MAX_N``."""
-    components = component_members(net)
-    if max(map(len, components), default=0) > EXACT_MAX_N:
-        return None
-    two_m = float(net.sum())
-    labels = np.arange(net.shape[0])  # isolated vertices stay singletons
-    q = 0.0
-    for members in (np.array(c) for c in components if len(c) >= 2):
-        sub_labels, sub_q = exact_partition_dp(
-            net[np.ix_(members, members)], two_m=two_m
-        )
-        # community k of a component is named after its vertex members[k]
-        # (k <= the position of its first member), so no names collide
-        labels[members] = members[sub_labels]
-        q += sub_q
-    return canonical_labels(labels), q
-
-
 def _louvain_best(net: np.ndarray, restarts: int, seed) -> tuple[np.ndarray, float]:
     """Best of ``restarts`` refined Louvain runs on the whole network.
 
@@ -167,10 +147,19 @@ def maximize_modularity(net: np.ndarray, seed=None) -> tuple[np.ndarray, float]:
     (numbered by first appearance).
     """
     net = np.asarray(net)
-    exact = _exact_by_component(net)
-    if exact is not None:
-        return exact
-    return _louvain_best(net, DEFAULT_RESTARTS, seed)
+    components = component_members(net)
+    if max(map(len, components), default=0) > EXACT_MAX_N:
+        return _louvain_best(net, DEFAULT_RESTARTS, seed)
+    two_m = float(net.sum())
+    labels = np.arange(net.shape[0])  # isolated vertices stay singletons
+    q = 0.0
+    for members in (np.array(c) for c in components if len(c) >= 2):
+        sub_labels, sub_q = exact_partition_dp(net[np.ix_(members, members)], two_m=two_m)
+        # community k of a component is named after its vertex members[k]
+        # (k <= the position of its first member), so no names collide
+        labels[members] = members[sub_labels]
+        q += sub_q
+    return canonical_labels(labels), q
 
 
 def partition_to_groups(

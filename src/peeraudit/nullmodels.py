@@ -8,6 +8,7 @@ nomination probability, and skews of child salience and report size).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,16 @@ class ClassroomProfile:
     group_size_skew: float
 
     def __post_init__(self):
+        for name in ("n_children", "n_reports"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("nomination_probability", "nomination_skew", "group_size_skew"):
+            value = getattr(self, name)
+            # compared, not passed to math.isfinite, which overflows on a huge int
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -np.inf < value < np.inf):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 2 <= self.n_children <= MAX_CHILDREN:
             raise ValueError(f"n_children must be in [2, {MAX_CHILDREN}], got {self.n_children}")
         if not 1 <= self.n_reports <= MAX_REPORTS:

@@ -198,7 +198,20 @@ def _peeled_matrices():
     both[3] = 1.0
     both[:, 7] = 1.0
     both[5] = 0.0
-    return [full_row, full_col, both]
+    # peeled in four levels before the 10 x 20 core: the zero row 10 and
+    # the full row 11; column 20, full once row 10 is gone; row 12, whose
+    # only 1 is in column 20; column 21, full once row 12 is gone
+    cascade = np.zeros((13, 22))
+    i = np.arange(10)
+    core = cascade[:10, :20]
+    core[:] = rng.random((10, 20)) < 0.35
+    core[i, i] = core[i, i + 10] = 1.0  # no core line of zeros
+    core[i, (i - 1) % 10] = core[i, 10 + (i - 1) % 10] = 0.0  # nor of ones
+    ones = [*range(10), 11]
+    cascade[11] = 1.0
+    cascade[ones + [12], 20] = 1.0
+    cascade[ones, 21] = 1.0
+    return [full_row, full_col, both, cascade]
 
 
 def _assert_matches_reference(r, atol=0.0):
@@ -219,6 +232,25 @@ def test_fit_matches_full_matrix_reference():
     matrices += [draw_classroom(np.random.default_rng(s))[1].entries for s in range(100, 140)]
     for r in matrices:
         _assert_matches_reference(r)
+
+
+def _nested_matrix(rng):
+    """Row i holds ones in its first k_i columns, k non-increasing, and
+    rows and columns are then permuted (a Ferrers matrix)."""
+    n, m = rng.integers(1, 30, size=2)
+    k = np.sort(rng.integers(0, m + 1, size=n))[::-1]
+    r = (np.arange(m) < k[:, None]).astype(float)
+    return r[rng.permutation(n)][:, rng.permutation(m)]
+
+
+def test_fit_of_a_nested_matrix_is_the_matrix():
+    # a nested matrix is the only binary matrix with its margins; these
+    # peel to an empty core in up to 20 levels
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        r = _nested_matrix(rng)
+        if r.any():
+            assert fit_bicm(r).tobytes() == r.tobytes()
 
 
 def test_fit_newton_fallback_matches_full_matrix_reference():

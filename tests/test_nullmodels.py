@@ -310,6 +310,27 @@ def test_profile_validation():
     ClassroomProfile(10, 10, 0.3, -MAX_NOMINATION_SKEW, 0.0)
     lo, hi = PROFILE_BOUNDS["nomination_skew"]
     assert -MAX_NOMINATION_SKEW <= lo < hi <= MAX_NOMINATION_SKEW
+    # types are checked before ranges: unchecked, a NaN or infinite
+    # group_size_skew gives a classroom, and a bool or float count a
+    # TypeError from NumPy
+    valid = {"n_children": 26, "n_reports": 61, "nomination_probability": 0.3,
+             "nomination_skew": 0.0, "group_size_skew": 0.0}
+    bad_values = {
+        "n_children": (True, np.True_, 26.0, "26"),
+        "n_reports": (True, 61.0, None),
+        "nomination_probability": (True, float("nan"), "0.3"),
+        "nomination_skew": (np.True_, float("inf"), -float("inf"), float("nan")),
+        "group_size_skew": (True, float("nan"), float("inf"), -float("inf"), np.float64("nan"), None),
+    }
+    for name, values in bad_values.items():
+        kind = "an integer" if name.startswith("n_") else "a finite number"
+        for value in values:
+            with pytest.raises(ValueError, match=f"^{name} must be {kind}, got "):
+                ClassroomProfile(**{**valid, name: value})
+    ClassroomProfile(np.int64(26), 61, np.float32(0.3), 0, np.float64(0.5))
+    # a huge integral real is out of range, not an overflow
+    with pytest.raises(ValueError, match="nomination_skew must be in"):
+        ClassroomProfile(26, 61, 0.3, 10**400, 0.0)
 
 
 def test_generate_shape_contract():

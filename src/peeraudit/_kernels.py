@@ -2,7 +2,7 @@
 modularity DP and row bitsets.
 
 The dyad p-values and ``backbone.poisson_binomial_upper_tail`` run one
-survival recursion, ``_upper_tails`` (Hong, CSDA 2013, for background):
+survival recursion, ``survival_table`` (Hong, CSDA 2013, for background):
 with S_k(t) = P(X_k >= t) for X_k the sum of the first k Bernoulli
 trials,
 
@@ -10,7 +10,8 @@ trials,
 
 Every term is a nonnegative sum, so nothing cancels and small tails keep
 their relative precision. The recursion runs once per distinct column of
-trials: ``dyad_pvalues`` groups dyads whose trials are bitwise equal.
+trials: ``dyad_pvalues`` groups dyads whose trials are bitwise equal,
+and ``class_pair_tails`` tabulates every pair of classes at once.
 """
 
 from __future__ import annotations
@@ -27,21 +28,18 @@ def bitset_rows(matrix) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _upper_tails(probs: np.ndarray, observed: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """P(X_c >= observed[k]) with c = column[k], for every k, where X_c is
-    a sum of independent Bernoulli(probs[:, c]) trials and ``probs`` is
-    (m, d).
+def survival_table(probs: np.ndarray, width: int) -> np.ndarray:
+    """S_c(t) = P(X_c >= t) for t < ``width``, as a (width, d) table, where
+    X_c is a sum of independent Bernoulli(probs[:, c]) trials and ``probs``
+    is (m, d).
 
-    All columns run in lockstep, one vectorized step per trial. Only
-    S(0..max(observed)) is kept, and step k touches only the S(t) with
-    t <= k + 1 that can be nonzero. An observed count above m is read from
-    S(m + 1), which no step touches and so stays 0. A column's S(t) does
-    not depend on how far the table reaches above t, so many reads of one
-    column cost one column of the recursion.
+    All columns run in lockstep, one vectorized step per trial, and step k
+    touches only the S(t) with t <= k + 1 that can be nonzero, so rows
+    above m stay 0. Every operation is elementwise: a column's S(t) depends
+    neither on how far the table reaches above t nor on the other columns,
+    and many reads of one column cost one column of the recursion.
     """
     m, d = probs.shape
-    observed = np.clip(observed, 0, m + 1)
-    width = int(observed.max(initial=0)) + 1
     surv = np.zeros((width, d))
     surv[0] = 1.0
     shifted = np.empty((width, d))
@@ -51,7 +49,17 @@ def _upper_tails(probs: np.ndarray, observed: np.ndarray, column: np.ndarray) ->
         np.multiply(surv[:hi], probs[k], out=shifted[:hi])
         surv[1 : hi + 1] *= complement[k]
         surv[1 : hi + 1] += shifted[:hi]
-    return np.minimum(surv[observed, column], 1.0)
+    return surv
+
+
+def _row_classes(cell_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, row_class): rows that are bitwise equal share a class, and
+    first[c] is the first row of class c."""
+    n, m = cell_probs.shape
+    # a row's key is its bytes; with no columns, every row is equal
+    keys = cell_probs.view(np.dtype((np.void, 8 * m))).reshape(n) if m else np.zeros(n)
+    _, first, row_class = np.unique(keys, return_index=True, return_inverse=True)
+    return first, row_class
 
 
 def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
@@ -68,7 +76,7 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     class pair that has a co-occurring dyad, and each dyad reads
     S(cooc[i, j]) from its pair's column. That is bit for bit the per-dyad result:
     equal rows give equal products, and a product does not depend on the
-    order of its factors.
+    order of its factors. A count above m is read from S(m + 1), which is 0.
     """
     cell_probs = np.ascontiguousarray(cell_probs, dtype=np.float64)
     cooc = np.asarray(cooc)
@@ -77,20 +85,40 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     iu, ju = np.triu_indices(n, 1)
     observed = cooc[iu, ju]
     keep = observed > 0
-    iu, ju, observed = iu[keep], ju[keep], observed[keep]
-    # a row's key is its bytes; with no columns, every row is equal
-    keys = cell_probs.view(np.dtype((np.void, 8 * m))).reshape(n) if m else np.zeros(n)
-    _, first, row_class = np.unique(keys, return_index=True, return_inverse=True)
+    iu, ju, observed = iu[keep], ju[keep], np.minimum(observed[keep], m + 1)
+    first, row_class = _row_classes(cell_probs)
     a, b = row_class[iu], row_class[ju]
     pairs, pair = np.unique(
         np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True
     )
     rep_a, rep_b = first[pairs // n], first[pairs % n]
     probs = np.ascontiguousarray((cell_probs[rep_a] * cell_probs[rep_b]).T)  # (m, n_pairs)
-    vals = _upper_tails(probs, observed, pair)
+    surv = survival_table(probs, int(observed.max(initial=0)) + 1)
+    vals = np.minimum(surv[observed, pair], 1.0)
     out[iu, ju] = vals
     out[ju, iu] = vals
     return out
+
+
+def class_pair_tails(cell_probs: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``dyad_pvalues(cell_probs, cooc)`` for every ``cooc`` whose
+    off-diagonal counts lie in [0, width), as one lookup table.
+
+    Returns (pair, table): pair[i, j] is the column of the class pair of
+    rows i and j, and table[t, c] = min(S_c(t), 1). The recursion runs
+    every unordered class pair, co-occurring or not, so with the diagonal
+    of ``cooc`` set to 0, ``table[cooc, pair]`` is ``dyad_pvalues``'s
+    matrix bit for bit: a column depends neither on the others nor on the
+    table's width, and table[0] is 1.
+    """
+    cell_probs = np.ascontiguousarray(cell_probs, dtype=np.float64)
+    first, row_class = _row_classes(cell_probs)
+    a, b = np.triu_indices(first.size)
+    pair_of = np.empty((first.size, first.size), dtype=np.intp)
+    pair_of[a, b] = pair_of[b, a] = np.arange(a.size)
+    probs = np.ascontiguousarray((cell_probs[first[a]] * cell_probs[first[b]]).T)
+    table = np.minimum(survival_table(probs, width), 1.0)
+    return pair_of[np.ix_(row_class, row_class)], table
 
 
 def exact_partition_dp(

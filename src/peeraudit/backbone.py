@@ -10,20 +10,35 @@ Both steps work on classes (Saracco et al., New J. Phys. 19, 053022,
 sum, so the fit solves one multiplier per distinct sum; and a dyad's
 null count depends only on its two rows of cells, so the test runs one
 tail per pair of distinct rows (see ``_kernels.dyad_pvalues``).
+
+A curveball shuffle keeps every row and column sum, so all the trials of
+a shuffle audit share one fit. ``extract_backbone`` keeps the last fit in
+a process-wide memo of one entry, keyed by the input's shape and margins.
+A call with new margins does the work above and stores the fit; the
+first call that repeats them tabulates the tail of every pair of classes
+(``_kernels.class_pair_tails``), and each later call reads its dyads
+from that table, which is rebuilt wider only when a count outgrows it.
+Both give the same p-values bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from ._kernels import _upper_tails
+from ._kernels import class_pair_tails, survival_table
 from ._kernels import dyad_pvalues as _dyad_pvalues
-from .recall import RecallMatrix
+from .recall import RecallMatrix, margins
 from .scm import cooccurrence
 
 MARGIN_TOL = 1e-6
+
+# extract_backbone's memo: entry is (key, cell probabilities, tails), with
+# tails None or class_pair_tails' (pair, table). It is replaced whole, never
+# updated in place, so a call that reads it sees one consistent entry.
+_memo = SimpleNamespace(entry=None)
 
 
 class ConvergenceError(RuntimeError):
@@ -135,7 +150,8 @@ def poisson_binomial_upper_tail(probs, observed: int) -> float:
         raise ValueError(f"observed must be in [0, {probs.size}]")
     if isinstance(observed, (bool, np.bool_)) or observed != int(observed):
         raise ValueError(f"observed must be an integer count, got {observed!r}")
-    return float(_upper_tails(probs[:, None], np.array([int(observed)]), np.zeros(1, int))[0])
+    observed = int(observed)
+    return min(float(survival_table(probs[:, None], observed + 1)[observed, 0]), 1.0)
 
 
 def holm_adjust(pvals: np.ndarray) -> np.ndarray:
@@ -155,14 +171,31 @@ def extract_backbone(
     the degree-conditioned null (one-tailed, inclusive at alpha).
 
     A dyad that never co-occurs can never be significant, whatever alpha.
+    The fit of ``rm``'s margins and its class-pair tails are reused from
+    the previous call when its margins were the same (see the module
+    docstring).
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if correction not in ("none", "holm"):
         raise ValueError(f"unknown correction {correction!r}")
     cooc = cooccurrence(rm)
-    cell_p = fit_bicm(rm.entries)
-    pvals = _dyad_pvalues(cell_p, cooc)
+    key = (rm.entries.shape, *(sums.tobytes() for sums in margins(rm)))
+    entry = _memo.entry
+    if entry is None or entry[0] != key:
+        cell_p = fit_bicm(rm.entries)
+        pvals = _dyad_pvalues(cell_p, cooc)
+        _memo.entry = (key, cell_p, None)
+    else:
+        _, cell_p, tails = entry
+        counts = cooc.copy()
+        np.fill_diagonal(counts, 0)
+        width = int(counts.max()) + 1
+        if tails is None or tails[1].shape[0] < width:
+            tails = class_pair_tails(cell_p, width)
+            _memo.entry = (key, cell_p, tails)
+        pair, table = tails
+        pvals = table[counts, pair]
     effective = pvals
     if correction == "holm":
         iu, ju = np.triu_indices(rm.n_children, 1)

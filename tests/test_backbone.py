@@ -1,11 +1,14 @@
 """SDSM backbone extraction: BiCM fit, Poisson-binomial tails, edges."""
 
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from peeraudit import backbone
 from peeraudit.backbone import (
     MARGIN_TOL,
     ConvergenceError,
@@ -14,13 +17,14 @@ from peeraudit.backbone import (
     holm_adjust,
     poisson_binomial_upper_tail,
 )
-from peeraudit._kernels import dyad_pvalues
+from peeraudit._kernels import class_pair_tails, dyad_pvalues
 from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import (
     MAX_NOMINATION_SKEW,
     PROFILE_BOUNDS,
     ClassroomProfile,
     draw_classroom,
+    curveball_randomize,
     generate_classroom,
 )
 from peeraudit.recall import RecallMatrix
@@ -253,6 +257,39 @@ def test_fit_of_a_nested_matrix_is_the_matrix():
             assert fit_bicm(r).tobytes() == r.tobytes()
 
 
+def _wrapped_core(rng):
+    """A random core inside lines added one at a time, each a row of ones,
+    a row of zeros or a column of ones across the matrix it is added to
+    (a report names somebody), then permuted: the peel drops the lines in
+    up to as many levels as there are lines."""
+    n, m = rng.integers(4, 12, size=2)
+    r = (rng.random((n, m)) < 0.4).astype(float)
+    r[rng.integers(n, size=m), np.arange(m)] = 1.0
+    for _ in range(rng.integers(1, 12)):
+        line = rng.integers(3)
+        if line < 2:
+            r = np.vstack([r, np.full((1, r.shape[1]), float(line))])
+        else:
+            r = np.hstack([r, np.ones((r.shape[0], 1))])
+    return r[rng.permutation(r.shape[0])][:, rng.permutation(r.shape[1])]
+
+
+def test_fit_is_the_same_on_every_shuffle():
+    # extract_backbone reuses one fit for every matrix with the same
+    # margins, which holds only if the fit is bitwise a function of them
+    rng = np.random.default_rng(20)
+    matrices = [load_benchmark().entries]
+    matrices += [draw_classroom(np.random.default_rng(s))[1].entries for s in (100, 101, 102)]
+    matrices += [_wrapped_core(rng) for _ in range(8)]
+    for r in matrices:
+        rm = _rm(r)
+        fit = fit_bicm(r).tobytes()
+        shuffles = [curveball_randomize(rm, seed=s).entries for s in range(200)]
+        assert any(not np.array_equal(x, rm.entries) for x in shuffles)
+        for x in shuffles:
+            assert fit_bicm(x).tobytes() == fit
+
+
 def test_fit_newton_fallback_matches_full_matrix_reference():
     # the classroom on which a fixed-point iteration stalls and Newton's
     # method is what reaches the margins; the Jacobian is near singular
@@ -371,7 +408,12 @@ def test_dyad_pvalues_match_per_dyad_loop_bitwise():
         entries = (rng.random((n, m)) < cell_p).astype(np.int64)
         cases.append((cell_p, entries @ entries.T))
     for cell_p, cooc in cases:
-        assert np.array_equal(dyad_pvalues(cell_p, cooc), _dyad_pvalues_by_loop(cell_p, cooc))
+        expected = _dyad_pvalues_by_loop(cell_p, cooc)
+        assert np.array_equal(dyad_pvalues(cell_p, cooc), expected)
+        counts = cooc.copy()
+        np.fill_diagonal(counts, 0)
+        pair, table = class_pair_tails(cell_p, counts.max() + 5)
+        assert table[counts, pair].tobytes() == expected.tobytes()
 
 
 def test_tail_input_validation():
@@ -499,3 +541,95 @@ def test_backbone_single_report_no_edges():
     rm = _rm(entries)
     result = extract_backbone(rm, alpha=0.05)
     assert result.network.sum() == 0
+
+
+# --- the fit memo ---------------------------------------------------------
+
+
+def _shuffles_by_widest_count(rm, n):
+    """n curveball shuffles of ``rm``, by their largest off-diagonal count."""
+    def widest(x):
+        counts = cooccurrence(x)
+        np.fill_diagonal(counts, 0)
+        return counts.max()
+
+    return sorted((curveball_randomize(rm, seed=s) for s in range(n)), key=widest)
+
+
+def _one_cell_moved(rm):
+    """``rm`` with one child's 1 moved to another report: the same shape
+    and row sums, other column sums."""
+    r = rm.entries.copy()
+    c = int(np.flatnonzero(r.sum(axis=0) > 1)[0])
+    i = int(np.flatnonzero(r[:, c])[0])
+    d = int(np.flatnonzero(r[i] == 0)[0])
+    r[i, c], r[i, d] = 0, 1
+    return RecallMatrix(rm.children, r)
+
+
+def _cold_pvalues(rm):
+    return dyad_pvalues(fit_bicm(rm.entries), cooccurrence(rm))
+
+
+def test_backbone_memo_matches_a_cold_fit(monkeypatch):
+    shuffles = _shuffles_by_widest_count(load_benchmark(), 40)
+    a1, a2, a3, wide = shuffles[0], shuffles[1], shuffles[2], shuffles[-1]
+    b = _one_cell_moved(a1)
+    fits, tables = [], []
+
+    def counted(calls, fn):
+        return lambda *args: calls.append(None) or fn(*args)
+
+    monkeypatch.setattr(backbone._memo, "entry", None)
+    monkeypatch.setattr(backbone, "fit_bicm", counted(fits, backbone.fit_bicm))
+    monkeypatch.setattr(backbone, "class_pair_tails", counted(tables, backbone.class_pair_tails))
+    # miss, first hit, a hit that needs a wider table, a hit that does
+    # not, a miss on other column sums, a miss back on the first margins
+    steps = [(a1, 0.05, "none", 1, 0), (a2, 0.01, "holm", 1, 1), (wide, 1.0, "none", 1, 2),
+             (a3, 0.05, "holm", 1, 2), (b, 0.05, "none", 2, 2), (a1, 0.2, "holm", 3, 2)]
+    for rm, alpha, correction, n_fits, n_tables in steps:
+        result = extract_backbone(rm, alpha=alpha, correction=correction)
+        cooc = cooccurrence(rm)
+        expected = _cold_pvalues(rm)
+        assert result.pvalues.tobytes() == expected.tobytes()
+        effective = expected
+        if correction == "holm":
+            iu, ju = np.triu_indices(rm.n_children, 1)
+            effective = expected.copy()
+            effective[iu, ju] = effective[ju, iu] = holm_adjust(expected[iu, ju])
+        network = ((effective <= alpha) & (cooc >= 1)).astype(np.int8)
+        np.fill_diagonal(network, 0)
+        assert np.array_equal(result.network, network)
+        assert (len(fits), len(tables)) == (n_fits, n_tables)
+        # a caller's writes to its result reach no later call
+        result.pvalues[:] = 0.0
+        result.network[:] = 1
+
+
+def test_backbone_memo_under_threads(monkeypatch):
+    # threads alternating between two margins replace the one entry under
+    # each other; every call must still see a consistent entry
+    classrooms = _shuffles_by_widest_count(load_benchmark(), 6)
+    classrooms += _shuffles_by_widest_count(_one_cell_moved(load_benchmark()), 6)
+    expected = [_cold_pvalues(rm).tobytes() for rm in classrooms]
+    monkeypatch.setattr(backbone._memo, "entry", None)
+    wrong = []
+
+    def work(offset):
+        for k in range(40):
+            i = (offset + k * 5) % len(classrooms)
+            if extract_backbone(classrooms[i]).pvalues.tobytes() != expected[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -11,7 +11,10 @@ are: ``audit --study`` 1, 2, 3, 4a, 4b and 4c, and 2 and 3 again with
 ``--method scm-components``; ``scm`` (both rules) and ``becd`` (both
 corrections) on a copy of the checkout's benchmark report file; and
 ``simulate`` in shuffle and generate mode, the latter with and without a
-fixed ``--profile``, for 50 trials. Each command's exit code, stdout and
+fixed ``--profile``, for 50 trials. ``simulate --mode shuffle`` also runs
+on a 40 x 200 classroom, whose report file the script writes from a fixed
+seed, the same bytes for both sides, so that the shuffles cover rows of
+25 bytes as well as the benchmark's 8. Each command's exit code, stdout and
 stderr are compared with its files. Every file that differs or exists on
 one side only, and every command that exits nonzero, is printed, and the
 exit status is 1 if there is any.
@@ -23,6 +26,7 @@ import argparse
 import json
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -33,6 +37,17 @@ BENCHMARK_REPORTS = pathlib.Path("src", "peeraudit", "data", "benchmark_reports.
 PROFILE = {"n_children": 20, "n_reports": 60, "nomination_probability": 0.25,
            "nomination_skew": 0.5, "group_size_skew": 0.5}
 SIMULATE_TRIALS = "50"
+# children, reports and seed of the wide classroom that simulate shuffles
+WIDE_CLASS = (40, 200, 21)
+
+
+def wide_reports() -> str:
+    """Report file of the wide classroom: reports of 2 to 12 children."""
+    n_children, n_reports, seed = WIDE_CLASS
+    rng = random.Random(seed)
+    names = [f"c{i + 1:02d}" for i in range(n_children)]
+    return "".join(",".join(rng.sample(names, rng.randint(2, 12))) + "\n"
+                   for _ in range(n_reports))
 
 
 def commands(trials: int, seeds: list[int]):
@@ -52,12 +67,14 @@ def commands(trials: int, seeds: list[int]):
             yield run(f"becd-{correction}", "becd", "reports.txt", "--correction", correction)
         yield run("simulate-shuffle", "simulate", "--mode", "shuffle", "--reports", "reports.txt",
                   "--trials", SIMULATE_TRIALS)
+        yield run("simulate-shuffle-wide", "simulate", "--mode", "shuffle", "--reports", "wide.txt",
+                  "--trials", SIMULATE_TRIALS)
         yield run("simulate-generate", "simulate", "--mode", "generate", "--trials", SIMULATE_TRIALS)
         yield run("simulate-profile", "simulate", "--mode", "generate", "--profile", "profile.json",
                   "--trials", SIMULATE_TRIALS)
 
 
-def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs) -> None:
+def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs, wide: str) -> None:
     src = (checkout / "src").resolve()
     env = {k: v for k, v in os.environ.items() if not k.startswith("PEERAUDIT_")}
     env["PYTHONPATH"] = str(src)
@@ -69,6 +86,7 @@ def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs) -> None:
     if pathlib.Path(found).resolve().parent.parent != src:
         raise SystemExit(f"peeraudit imported from {found}, not from {src}")
     shutil.copyfile(checkout / BENCHMARK_REPORTS, work / "reports.txt")
+    (work / "wide.txt").write_text(wide, encoding="utf-8")
     (work / "profile.json").write_text(json.dumps(PROFILE), encoding="utf-8")
     for name, argv in jobs:
         done = subprocess.run([sys.executable, "-m", "peeraudit.cli", *argv],
@@ -98,11 +116,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 5000])
     args = parser.parse_args(argv)
     jobs = list(commands(args.trials, args.seeds))
+    wide = wide_reports()
     with tempfile.TemporaryDirectory() as tmp:
         sides = [pathlib.Path(tmp, "parent"), pathlib.Path(tmp, "change")]
         # each side runs its commands one after another, the sides in parallel
         with ThreadPoolExecutor(2) as pool:
-            for future in [pool.submit(run_side, checkout, work, jobs)
+            for future in [pool.submit(run_side, checkout, work, jobs, wide)
                            for checkout, work in zip((args.parent, args.change), sides)]:
                 future.result()
         found = differences(*sides)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import chain
+from operator import getitem
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,6 +44,11 @@ _UNIFORM_BATCH = 8192
 _CONCENTRATION_RANGE = (0.05, 1e4)
 # concentration of the Beta that child salience weights are drawn from
 _SALIENCE_CONCENTRATION = 5.0
+
+
+# _pool_tables' memo. Its tables only grow, and are replaced whole, never
+# updated in place, so a call that reads them sees complete tables.
+_pool_memo = SimpleNamespace(tables=())
 
 
 class InfeasibleProfileError(DataError):
@@ -124,13 +132,16 @@ def curveball_randomize(
     swaps them. Each bounded draw is Lemire's: x = word * span, redrawn
     while its low 32 bits fall below 2**32 % span, gives x >> 32. Then,
     only when each row holds a column the other lacks, the trade calls
-    ``rng.shuffle`` on the bits of the columns held by exactly one of
-    them, lowest column first. ``shuffle`` draws the same for a list as
-    for an array of the same length, so this is the shuffle of the
-    sorted column indices. The first ``popcount(a & ~b)`` shuffled bits
-    go to row i and the rest to row j, so a seed gives one matrix and
-    leaves the generator in one state, that of the ``rng.choice`` and
-    ``rng.shuffle`` calls.
+    ``rng.shuffle`` on the pool: the bits of the columns held by exactly
+    one of them, lowest column first. The pool is listed byte by byte,
+    lowest byte first, from per-byte tables (``_pool_tables``) whose
+    entries list a byte's bits lowest first, so it is in the ascending
+    order that a loop over its bits gives. ``shuffle`` draws the same
+    for a list as for an array of the same length, so this is the
+    shuffle of the sorted column indices. The first ``popcount(a & ~b)``
+    shuffled bits go to row i and the rest to row j, so a seed gives one
+    matrix and leaves the generator in one state, that of the
+    ``rng.choice`` and ``rng.shuffle`` calls.
 
     The ``ctypes`` calls do not take the generator's lock: no other
     thread may use the generator during the call.
@@ -144,7 +155,9 @@ def curveball_randomize(
     if n < 2 or n_trades == 0:
         return RecallMatrix(rm.children, rm.entries.copy())
     n_bytes = (m + 7) // 8
+    tables = _pool_tables(n_bytes)
     rows = bitset_rows(rm.entries)
+    shuffle = rng.shuffle
     bits = rng.bit_generator.ctypes
     next32, state = bits.next_uint32, bits.state
     last = n - 1
@@ -166,19 +179,14 @@ def curveball_randomize(
         if not next32(state) >> 31:
             i, j = j, i
         a, b = rows[i], rows[j]
-        a_only = a & ~b
-        if not a_only or not b & ~a:
+        shared = a & b
+        if shared == a or shared == b:
             continue
         either = a ^ b
-        pool = []
-        rest = either
-        while rest:
-            low = rest & -rest
-            pool.append(low)
-            rest ^= low
-        rng.shuffle(pool)
-        new_a_only = sum(pool[: a_only.bit_count()])
-        shared = a & b
+        data = either.to_bytes(n_bytes, "little")
+        pool = list(chain.from_iterable(map(getitem, tables, data)))
+        shuffle(pool)
+        new_a_only = sum(pool[: (a ^ shared).bit_count()])
         rows[i] = shared | new_a_only
         rows[j] = shared | (either ^ new_a_only)
     packed = np.frombuffer(
@@ -186,6 +194,31 @@ def curveball_randomize(
     ).reshape(n, n_bytes)
     entries = np.unpackbits(packed, axis=1, count=m, bitorder="little")
     return RecallMatrix(rm.children, entries.view(np.int8))
+
+
+def _pool_tables(n_bytes: int) -> tuple:
+    """Per-byte tables of column bits that cover rows of ``n_bytes`` bytes.
+
+    Entry k, v lists the bits 1 << (8k + c) of the columns c set in byte
+    value v at byte k, lowest first, each bit one int object shared by
+    that byte's 256 entries. Each byte's table is built once per process;
+    the tuple of them grows to the widest row asked for, and serves every
+    narrower row too, since ``map`` stops at the shorter of its inputs.
+    """
+    tables = _pool_memo.tables
+    if len(tables) < n_bytes:
+        tables += tuple(_byte_table(k) for k in range(len(tables), n_bytes))
+        _pool_memo.tables = tables
+    return tables
+
+
+def _byte_table(k: int) -> tuple:
+    # for v < 2**c, entry v + 2**c is entry v with bit c, its highest, appended
+    table = [()]
+    for c in range(8):
+        bit = 1 << (8 * k + c)
+        table += [bits + (bit,) for bits in table]
+    return tuple(table)
 
 
 def _solve_concentration(mean: float, target_skew: float) -> float:

@@ -2,6 +2,8 @@
 
 import itertools
 import warnings
+from itertools import chain
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -245,6 +247,48 @@ def test_shuffle_draws_the_same_for_a_list_as_for_an_array():
         ref_rng.shuffle(ref_items)
         assert items == ref_items.tolist()
         assert rng.random() == ref_rng.random()
+
+
+def _bits_by_loop(row):
+    """The set bits of a row int, one per loop iteration, lowest first."""
+    bits = []
+    while row:
+        low = row & -row
+        bits.append(low)
+        row ^= low
+    return bits
+
+
+@pytest.mark.parametrize("n_bytes", [1, 2, 8, 9, 25])
+def test_pool_tables_list_bits_as_the_bit_loop_does(n_bytes):
+    tables = nullmodels._pool_tables(n_bytes)
+    for k in range(n_bytes):
+        for v in range(256):
+            assert list(tables[k][v]) == _bits_by_loop(v << 8 * k)
+    rng = np.random.default_rng(n_bytes)
+    for case in range(200):
+        row = int.from_bytes(rng.bytes(n_bytes), "little")
+        if case % 2:  # sparse: most bytes are zero
+            for _ in range(3):
+                row &= int.from_bytes(rng.bytes(n_bytes), "little")
+        data = row.to_bytes(n_bytes, "little")
+        pool = list(chain.from_iterable(map(getitem, tables, data)))
+        assert pool == _bits_by_loop(row)
+
+
+def test_curveball_matches_reference_across_row_widths():
+    # shuffles of 8-, 25-, 1-, 63- and 126-byte rows, interleaved in one
+    # process; the last two are sparse, so most of their bytes are zero
+    rng = np.random.default_rng(23)
+    classroom = generate_classroom(ClassroomProfile(40, 200, 0.25, 0.5, 0.5), seed=23)
+    matrices = [load_benchmark(), classroom, _random_rm(rng, 5, 3),
+                _random_rm(rng, 30, 500, density=0.02), _random_rm(rng, 30, 1001, density=0.02)]
+    for seed in range(6):
+        for rm in matrices:
+            _assert_curveball_matches_reference(rm, None, seed)
+    # a narrower row after a wider one reads the tables already built
+    widest = nullmodels._pool_tables(126)
+    assert nullmodels._pool_tables(1) is widest and nullmodels._pool_tables(8) is widest
 
 
 def _all_matrices(row_sums, col_sums):

@@ -11,18 +11,24 @@ are: ``audit --study`` 1, 2, 3, 4a, 4b and 4c, and 2 and 3 again with
 ``--method scm-components``; ``scm`` (both rules) and ``becd`` (both
 corrections) on a copy of the checkout's benchmark report file; and
 ``simulate`` in shuffle and generate mode, the latter with and without a
-fixed ``--profile``, for 50 trials. ``simulate --mode shuffle`` also runs
-on a 40 x 200 classroom, whose report file the script writes from a fixed
-seed, the same bytes for both sides, so that the shuffles cover rows of
-25 bytes as well as the benchmark's 8. Each command's exit code, stdout and
-stderr are compared with its files. Every file that differs or exists on
-one side only, and every command that exits nonzero, is printed, and the
-exit status is 1 if there is any.
+fixed ``--profile``, for 50 trials. Two more classrooms have report files
+that the script writes from fixed seeds, the same bytes for both sides: a
+40 x 200 one (``wide.txt``), on which ``simulate --mode shuffle`` covers
+rows of 25 bytes as well as the benchmark's 8 and ``becd`` runs with both
+corrections; and a 30 x 120 one whose reports all name 5 children
+(``one_size.txt``), on which ``becd`` runs the dyad test's binomial block
+over every report. Each command's exit code, stdout and stderr are
+compared with its files. Every file that differs or exists on one side
+only, and every command that exits nonzero, is printed; for a CSV file of
+equal shape, so are the number of cells that differ and the largest
+relative difference of those that are numbers on both sides. The exit
+status is 1 if anything is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import pathlib
@@ -37,16 +43,18 @@ BENCHMARK_REPORTS = pathlib.Path("src", "peeraudit", "data", "benchmark_reports.
 PROFILE = {"n_children": 20, "n_reports": 60, "nomination_probability": 0.25,
            "nomination_skew": 0.5, "group_size_skew": 0.5}
 SIMULATE_TRIALS = "50"
-# children, reports and seed of the wide classroom that simulate shuffles
-WIDE_CLASS = (40, 200, 21)
+# children, reports, smallest and largest report, and seed of the classrooms
+# the script writes: the wide one, and one whose reports have one size
+WIDE_CLASS = (40, 200, 2, 12, 21)
+ONE_SIZE_CLASS = (30, 120, 5, 5, 22)
 
 
-def wide_reports() -> str:
-    """Report file of the wide classroom: reports of 2 to 12 children."""
-    n_children, n_reports, seed = WIDE_CLASS
+def class_reports(n_children: int, n_reports: int, smallest: int, largest: int, seed: int) -> str:
+    """Report file of a classroom of seeded random reports, each naming
+    ``smallest`` to ``largest`` children."""
     rng = random.Random(seed)
     names = [f"c{i + 1:02d}" for i in range(n_children)]
-    return "".join(",".join(rng.sample(names, rng.randint(2, 12))) + "\n"
+    return "".join(",".join(rng.sample(names, rng.randint(smallest, largest))) + "\n"
                    for _ in range(n_reports))
 
 
@@ -65,6 +73,8 @@ def commands(trials: int, seeds: list[int]):
             yield run(f"scm-{rule}", "scm", "reports.txt", "--rule", rule)
         for correction in ("none", "holm"):
             yield run(f"becd-{correction}", "becd", "reports.txt", "--correction", correction)
+            yield run(f"becd-wide-{correction}", "becd", "wide.txt", "--correction", correction)
+        yield run("becd-one-size", "becd", "one_size.txt")
         yield run("simulate-shuffle", "simulate", "--mode", "shuffle", "--reports", "reports.txt",
                   "--trials", SIMULATE_TRIALS)
         yield run("simulate-shuffle-wide", "simulate", "--mode", "shuffle", "--reports", "wide.txt",
@@ -74,7 +84,7 @@ def commands(trials: int, seeds: list[int]):
                   "--trials", SIMULATE_TRIALS)
 
 
-def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs, wide: str) -> None:
+def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs, inputs: dict[str, str]) -> None:
     src = (checkout / "src").resolve()
     env = {k: v for k, v in os.environ.items() if not k.startswith("PEERAUDIT_")}
     env["PYTHONPATH"] = str(src)
@@ -86,7 +96,8 @@ def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs, wide: str) -> Non
     if pathlib.Path(found).resolve().parent.parent != src:
         raise SystemExit(f"peeraudit imported from {found}, not from {src}")
     shutil.copyfile(checkout / BENCHMARK_REPORTS, work / "reports.txt")
-    (work / "wide.txt").write_text(wide, encoding="utf-8")
+    for name, text in inputs.items():
+        (work / name).write_text(text, encoding="utf-8")
     (work / "profile.json").write_text(json.dumps(PROFILE), encoding="utf-8")
     for name, argv in jobs:
         done = subprocess.run([sys.executable, "-m", "peeraudit.cli", *argv],
@@ -104,8 +115,28 @@ def differences(a: pathlib.Path, b: pathlib.Path) -> list[str]:
     fa, fb = files(a), files(b)
     out = [f"only in PARENT: {p}" for p in sorted(fa - fb)]
     out += [f"only in CHANGE: {p}" for p in sorted(fb - fa)]
-    out += [f"differs: {p}" for p in sorted(fa & fb) if (a / p).read_bytes() != (b / p).read_bytes()]
+    for p in sorted(fa & fb):
+        if (a / p).read_bytes() != (b / p).read_bytes():
+            out.append(f"differs: {p}{csv_difference(a / p, b / p) if p.suffix == '.csv' else ''}")
     return out
+
+
+def csv_difference(a: pathlib.Path, b: pathlib.Path) -> str:
+    """How two CSV files of one shape differ, cell by cell: the number of
+    cells that differ, and the largest relative difference |x - y| / |x|
+    of those that are numbers on both sides; empty if the shapes differ."""
+    ra, rb = (list(csv.reader(path.read_text(encoding="utf-8").splitlines())) for path in (a, b))
+    if [len(row) for row in ra] != [len(row) for row in rb]:
+        return ""
+    cells = [(x, y) for row_a, row_b in zip(ra, rb) for x, y in zip(row_a, row_b) if x != y]
+    worst = 0.0
+    for x, y in cells:
+        try:
+            fx, fy = float(x), float(y)
+        except ValueError:
+            continue
+        worst = max(worst, abs(fx - fy) / abs(fx) if fx else float("inf"))
+    return f" ({len(cells)} cells differ, largest relative difference {worst:.3g})"
 
 
 def main(argv=None) -> int:
@@ -116,12 +147,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 5000])
     args = parser.parse_args(argv)
     jobs = list(commands(args.trials, args.seeds))
-    wide = wide_reports()
+    inputs = {"wide.txt": class_reports(*WIDE_CLASS),
+              "one_size.txt": class_reports(*ONE_SIZE_CLASS)}
     with tempfile.TemporaryDirectory() as tmp:
         sides = [pathlib.Path(tmp, "parent"), pathlib.Path(tmp, "change")]
         # each side runs its commands one after another, the sides in parallel
         with ThreadPoolExecutor(2) as pool:
-            for future in [pool.submit(run_side, checkout, work, jobs, wide)
+            for future in [pool.submit(run_side, checkout, work, jobs, inputs)
                            for checkout, work in zip((args.parent, args.change), sides)]:
                 future.result()
         found = differences(*sides)

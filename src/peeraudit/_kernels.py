@@ -12,9 +12,19 @@ Every term is a nonnegative sum, so nothing cancels and small tails keep
 their relative precision. The recursion runs once per distinct column of
 trials: ``dyad_pvalues`` groups dyads whose trials are bitwise equal,
 and ``class_pair_tails`` tabulates every pair of classes at once.
+
+It does not start from S_0(t) = 1[t = 0], but from the largest class of
+equal trials (``block_order``): c trials of one probability q are one
+Binomial(c, q) block, whose survival is its pmf summed from the top, and
+only the other trials step. For the dyads the classes are the bitwise
+equal columns of the cell probabilities, in a BiCM fit the reports of
+one size, which give every dyad equal trials; a generated classroom
+often gives most of its reports one size.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -28,27 +38,104 @@ def bitset_rows(matrix) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def survival_table(probs: np.ndarray, width: int) -> np.ndarray:
+def survival_table(probs: np.ndarray, width: int, block: int) -> np.ndarray:
     """S_c(t) = P(X_c >= t) for t < ``width``, as a (width, d) table, where
-    X_c is a sum of independent Bernoulli(probs[:, c]) trials and ``probs``
-    is (m, d).
+    ``probs`` is (m, d) and X_c is a sum of independent Bernoulli trials:
+    ``block`` trials of probability probs[0, c], then one of probs[k, c] for
+    each later row k.
 
-    All columns run in lockstep, one vectorized step per trial, and step k
-    touches only the S(t) with t <= k + 1 that can be nonzero, so rows
-    above m stay 0. Every operation is elementwise: a column's S(t) depends
-    neither on how far the table reaches above t nor on the other columns,
-    and many reads of one column cost one column of the recursion.
+    A block of two or more trials starts the table as its Binomial
+    survival (``_binomial_survival``); otherwise the table starts from
+    S = 1[t = 0]. Each other trial then takes one vectorized step of the
+    recursion, in order, and step k touches only the S(t) with
+    t <= b + k + 1 that can be nonzero (b the block's size), so rows above
+    the number of trials stay 0. Every operation is elementwise: a column's
+    S(t) depends neither on how far the table reaches above t nor on the
+    other columns, and many reads of one column cost one column of the
+    recursion.
     """
-    m, d = probs.shape
+    d = probs.shape[1]
+    if block >= 2:
+        start = _binomial_survival(probs[0], block)[:width]
+        probs = probs[1:]
+    else:
+        start, block = np.ones((1, d)), 0
     surv = np.zeros((width, d))
-    surv[0] = 1.0
+    surv[: block + 1] = start
+    del start  # free the block's work before the steps' arrays are made
     shifted = np.empty((width, d))
     complement = 1.0 - probs
-    for k in range(m):
-        hi = min(k + 1, width - 1)
+    for k in range(probs.shape[0]):
+        hi = min(block + k + 1, width - 1)
         np.multiply(surv[:hi], probs[k], out=shifted[:hi])
         surv[1 : hi + 1] *= complement[k]
         surv[1 : hi + 1] += shifted[:hi]
+    return surv
+
+
+def block_order(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """(order, c) for the trials that are the rows of ``keys`` (m, k).
+
+    Rows that are bitwise equal form a class; c is the size of the largest
+    (of classes of equal size, the one whose first row comes first), and
+    ``order`` lists that class's first row, then every row outside the
+    class, in order: the arguments ``survival_table`` takes, as
+    ``probs[order]`` and ``block=c``.
+    """
+    rows = [row.tobytes() for row in np.ascontiguousarray(keys)]
+    if not rows:
+        return np.empty(0, dtype=np.intp), 0
+    # most_common keeps first-seen order among equal counts
+    best, c = Counter(rows).most_common(1)[0]
+    order = [rows.index(best)] + [i for i, row in enumerate(rows) if row != best]
+    return np.array(order, dtype=np.intp), c
+
+
+def _two_product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b - fl(a * b), exactly (Dekker's product, without an FMA)."""
+    hi_a, hi_b = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    hi_a, hi_b = hi_a - (hi_a - a), hi_b - (hi_b - b)
+    lo_a, lo_b = a - hi_a, b - hi_b
+    return ((hi_a * hi_b - a * b) + hi_a * lo_b + lo_a * hi_b) + lo_a * lo_b
+
+
+def _binomial_survival(q: np.ndarray, c: int) -> np.ndarray:
+    """P(Binomial(c, q) >= t) for t = 0..c, as a (c + 1, d) table.
+
+    The pmf is built outward from its mode by the ratios
+    f(j) = pmf(j) / pmf(j - 1) = (c + 1 - j) rho / j, rho = q / (1 - q):
+    up is the running product of min(f(j), 1), down that of
+    min(1 / f(j + 1), 1) from the top, so each is 1 on its side of the mode
+    and their product is pmf / pmf(mode). The pmf is then summed from the
+    top and divided by its total: every term is nonnegative, so small tails
+    keep their relative precision. rho is rounded once, and that error
+    would grow with the distance from the mode (to 2e-13 at 10,000 trials).
+    So the exact remainders of 1 - q and of q / (1 - q) give rho's relative
+    error e, and as pmf(j) is proportional to C(c, j) rho^j, term j is
+    corrected by (1 + e)^j ~ 1 + j e; the total absorbs the constant factor.
+    q = 0 and q = 1 are exact. Two (c + 1, d) arrays hold all the work.
+    """
+    inner = (q > 0.0) & (q < 1.0)
+    p = np.where(inner, q, 0.5)
+    h = 1.0 - p
+    low = (1.0 - h) - p  # 1 - p = h + low exactly
+    rho = p / h
+    err = -((rho * h - p) + _two_product_error(rho, h)) / p - low / h
+    j = np.arange(c + 1.0)
+    with np.errstate(divide="ignore"):  # the ratios into j = 0 and out of j = c are inf
+        up = np.multiply.outer((c + 1 - j) / j, rho)
+        down = np.divide.outer((j + 1) / (c - j), rho)
+    np.minimum(up, 1.0, out=up)
+    np.minimum(down, 1.0, out=down)
+    np.cumprod(up, axis=0, out=up)
+    np.cumprod(down[::-1], axis=0, out=down[::-1])
+    up *= down
+    np.multiply.outer(j, err, out=down)
+    down += 1.0
+    up *= down
+    surv = np.cumsum(up[::-1], axis=0, out=down[::-1])[::-1]
+    surv /= surv[0]
+    surv[:, ~inner] = j[:, None] <= np.where(q[~inner] == 1.0, c, 0)
     return surv
 
 
@@ -60,6 +147,21 @@ def _row_classes(cell_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = cell_probs.view(np.dtype((np.void, 8 * m))).reshape(n) if m else np.zeros(n)
     _, first, row_class = np.unique(keys, return_index=True, return_inverse=True)
     return first, row_class
+
+
+def _pair_trials(
+    cell_probs: np.ndarray, rep_a: np.ndarray, rep_b: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """``survival_table``'s (probs, block) for the trials of the row pairs
+    (rep_a[i], rep_b[i]): column k of ``cell_probs`` gives each pair the
+    trial cell_probs[rep_a, k] * cell_probs[rep_b, k], and bitwise-equal
+    columns give every pair equal trials, so the largest class of columns
+    is the block."""
+    order, block = block_order(cell_probs.T)
+    cells = cell_probs[:, order]
+    probs = cells[rep_a]
+    probs *= cells[rep_b]
+    return np.ascontiguousarray(probs.T), block  # (trials, pairs)
 
 
 def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
@@ -74,9 +176,13 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     fit, the children of one degree), and the trials of a dyad depend only
     on its pair of classes. So the recursion runs one column per unordered
     class pair that has a co-occurring dyad, and each dyad reads
-    S(cooc[i, j]) from its pair's column. That is bit for bit the per-dyad result:
-    equal rows give equal products, and a product does not depend on the
-    order of its factors. A count above m is read from S(m + 1), which is 0.
+    S(cooc[i, j]) from its pair's column. Columns of ``cell_probs`` that are
+    bitwise equal (in a BiCM fit, the reports of one size) give every dyad
+    equal trials, and the largest class of them is one binomial block
+    (``survival_table``). That is bit for bit the per-dyad result wherever
+    the dyad's own largest class of equal trials is that block: equal rows
+    give equal products, and a product does not depend on the order of its
+    factors. A count above m is read from S(m + 1), which is 0.
     """
     cell_probs = np.ascontiguousarray(cell_probs, dtype=np.float64)
     cooc = np.asarray(cooc)
@@ -91,9 +197,8 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     pairs, pair = np.unique(
         np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True
     )
-    rep_a, rep_b = first[pairs // n], first[pairs % n]
-    probs = np.ascontiguousarray((cell_probs[rep_a] * cell_probs[rep_b]).T)  # (m, n_pairs)
-    surv = survival_table(probs, int(observed.max(initial=0)) + 1)
+    probs, block = _pair_trials(cell_probs, first[pairs // n], first[pairs % n])
+    surv = survival_table(probs, int(observed.max(initial=0)) + 1, block)
     vals = np.minimum(surv[observed, pair], 1.0)
     out[iu, ju] = vals
     out[ju, iu] = vals
@@ -106,18 +211,19 @@ def class_pair_tails(cell_probs: np.ndarray, width: int) -> tuple[np.ndarray, np
 
     Returns (pair, table): pair[i, j] is the column of the class pair of
     rows i and j, and table[t, c] = min(S_c(t), 1). The recursion runs
-    every unordered class pair, co-occurring or not, so with the diagonal
-    of ``cooc`` set to 0, ``table[cooc, pair]`` is ``dyad_pvalues``'s
-    matrix bit for bit: a column depends neither on the others nor on the
-    table's width, and table[0] is 1.
+    every unordered class pair, co-occurring or not, from the same block
+    and trial order as ``dyad_pvalues``, so with the diagonal of ``cooc``
+    set to 0, ``table[cooc, pair]`` is ``dyad_pvalues``'s matrix bit for
+    bit: a column depends neither on the others nor on the table's width,
+    and table[0] is 1.
     """
     cell_probs = np.ascontiguousarray(cell_probs, dtype=np.float64)
     first, row_class = _row_classes(cell_probs)
     a, b = np.triu_indices(first.size)
     pair_of = np.empty((first.size, first.size), dtype=np.intp)
     pair_of[a, b] = pair_of[b, a] = np.arange(a.size)
-    probs = np.ascontiguousarray((cell_probs[first[a]] * cell_probs[first[b]]).T)
-    table = np.minimum(survival_table(probs, width), 1.0)
+    probs, block = _pair_trials(cell_probs, first[a], first[b])
+    table = np.minimum(survival_table(probs, width, block), 1.0)
     return pair_of[np.ix_(row_class, row_class)], table
 
 

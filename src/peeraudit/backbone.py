@@ -9,7 +9,10 @@ Both steps work on classes (Saracco et al., New J. Phys. 19, 053022,
 2017). A cell's probability depends only on its row sum and its column
 sum, so the fit solves one multiplier per distinct sum; and a dyad's
 null count depends only on its two rows of cells, so the test runs one
-tail per pair of distinct rows (see ``_kernels.dyad_pvalues``).
+tail per pair of distinct rows (see ``_kernels.dyad_pvalues``). Columns
+of one sum are equal too (bar peeled cells), so every dyad has equal
+trials from the reports of one size, and each tail starts from the
+largest such class as one binomial block, not one trial at a time.
 
 A curveball shuffle keeps every row and column sum, so all the trials of
 a shuffle audit share one fit. ``extract_backbone`` keeps the last fit in
@@ -28,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._kernels import class_pair_tails, survival_table
+from ._kernels import block_order, class_pair_tails, survival_table
 from ._kernels import dyad_pvalues as _dyad_pvalues
 from .recall import RecallMatrix, margins
 from .scm import cooccurrence
@@ -142,7 +145,10 @@ def _margin_error(probs, row_sums, col_sums) -> float:
 
 def poisson_binomial_upper_tail(probs, observed: int) -> float:
     """P(X >= observed) for X a sum of independent Bernoulli(probs) trials,
-    exact by the O(m * observed) survival recursion."""
+    exact by the survival recursion: the most frequent probability, c
+    trials of it (``_kernels.block_order``), is one binomial block of
+    O(c) work, and each other trial one step of O(observed), so
+    O(c + (m - c) * observed) in all."""
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1 or not ((probs >= 0) & (probs <= 1)).all():  # NaN fails too
         raise ValueError("probs must be a vector of probabilities")
@@ -151,7 +157,8 @@ def poisson_binomial_upper_tail(probs, observed: int) -> float:
     if isinstance(observed, (bool, np.bool_)) or observed != int(observed):
         raise ValueError(f"observed must be an integer count, got {observed!r}")
     observed = int(observed)
-    return min(float(survival_table(probs[:, None], observed + 1)[observed, 0]), 1.0)
+    order, block = block_order(probs[:, None])
+    return min(float(survival_table(probs[order, None], observed + 1, block)[observed, 0]), 1.0)
 
 
 def holm_adjust(pvals: np.ndarray) -> np.ndarray:

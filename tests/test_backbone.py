@@ -1,8 +1,10 @@
 """SDSM backbone extraction: BiCM fit, Poisson-binomial tails, edges."""
 
 import itertools
+import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,10 +19,11 @@ from peeraudit.backbone import (
     holm_adjust,
     poisson_binomial_upper_tail,
 )
-from peeraudit._kernels import class_pair_tails, dyad_pvalues
+from peeraudit._kernels import block_order, class_pair_tails, dyad_pvalues, survival_table
 from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import (
     MAX_NOMINATION_SKEW,
+    MAX_REPORTS,
     PROFILE_BOUNDS,
     ClassroomProfile,
     draw_classroom,
@@ -392,28 +395,131 @@ def _fitted(rm):
     return fit_bicm(rm.entries), cooccurrence(rm).astype(np.int64)
 
 
+# draw_classroom seeds, outside the benchmark's pool, whose reports have
+# one size, two sizes, and 19 and 16 sizes
+ONE_SIZE_SEEDS, TWO_SIZE_SEEDS, MANY_SIZE_SEEDS = (150, 156), (157, 195), (258, 263)
+
+
 def test_dyad_pvalues_match_per_dyad_loop_bitwise():
     rng = np.random.default_rng(17)
     cases = [_fitted(load_benchmark())]
     # seeds 100-119 lie outside the benchmark's classroom pool
-    cases += [_fitted(draw_classroom(np.random.default_rng(s))[1]) for s in range(100, 120)]
-    # two rows of one degree class whose cells differ in the last bit only
-    cell_p, cooc = _fitted(draw_classroom(np.random.default_rng(100))[1])
-    cell_p[1] = cell_p[0]
-    cell_p[1, -1] = np.nextafter(cell_p[1, -1], 1.0)
-    cases.append((cell_p, cooc))
+    seeds = [*range(100, 120), *ONE_SIZE_SEEDS, *TWO_SIZE_SEEDS, *MANY_SIZE_SEEDS]
+    cases += [_fitted(draw_classroom(np.random.default_rng(s))[1]) for s in seeds]
     # every row distinct, as in the benchmark's kernel timings
     for n, m in [(26, 61), (40, 200)]:
         cell_p = rng.uniform(0.02, 0.5, size=(n, m))
         entries = (rng.random((n, m)) < cell_p).astype(np.int64)
         cases.append((cell_p, entries @ entries.T))
-    for cell_p, cooc in cases:
+    # two rows of one degree class whose cells differ in the last bit only:
+    # the nudged cell splits its report-size class, so a dyad of two other
+    # rows sees one more equal trial than the block of columns holds
+    cell_p, cooc = _fitted(draw_classroom(np.random.default_rng(100))[1])
+    cell_p[1] = cell_p[0]
+    cell_p[1, -1] = np.nextafter(cell_p[1, -1], 1.0)
+    cases.append((cell_p, cooc))
+    for k, (cell_p, cooc) in enumerate(cases):
+        pvals = dyad_pvalues(cell_p, cooc)
         expected = _dyad_pvalues_by_loop(cell_p, cooc)
-        assert np.array_equal(dyad_pvalues(cell_p, cooc), expected)
+        if k < len(cases) - 1:
+            assert pvals.tobytes() == expected.tobytes()
+        else:
+            assert (np.abs(pvals - expected) <= 1e-13 * expected).all()
         counts = cooc.copy()
         np.fill_diagonal(counts, 0)
         pair, table = class_pair_tails(cell_p, counts.max() + 5)
-        assert table[counts, pair].tobytes() == expected.tobytes()
+        assert table[counts, pair].tobytes() == pvals.tobytes()
+
+
+def test_dyad_pvalues_with_distinct_columns_are_the_plain_recursion():
+    # no two reports alike: no block, so the recursion of every trial in
+    # order, from S = 1[t = 0], as before blocks
+    rng = np.random.default_rng(18)
+    cell_p = rng.uniform(0.02, 0.5, size=(12, 40))
+    entries = (rng.random(cell_p.shape) < cell_p).astype(np.int64)
+    cooc = entries @ entries.T
+    expected = np.ones((12, 12))
+    for i, j in zip(*np.triu_indices(12, 1)):
+        surv = np.zeros(cooc[i, j] + 1)
+        surv[0] = 1.0
+        for p in cell_p[i] * cell_p[j]:
+            surv[1:] = surv[1:] * (1.0 - p) + surv[:-1] * p
+        expected[i, j] = expected[j, i] = min(surv[-1], 1.0)
+    assert dyad_pvalues(cell_p, cooc).tobytes() == expected.tobytes()
+
+
+def _exact_tails(probs):
+    """P(X >= t) for t = 0..m, X a sum of independent Bernoulli(probs)
+    trials, as Fractions: the pmf convolved one trial at a time in exact
+    arithmetic over the float probabilities."""
+    pmf = [Fraction(1)]
+    for p in map(Fraction, probs):
+        pmf = [a * (1 - p) + b * p for a, b in zip(pmf + [0], [0] + pmf)]
+    return list(itertools.accumulate(reversed(pmf)))[::-1]
+
+
+def _exact_binomial_tail(q, c, t):
+    """P(Binomial(c, q) >= t) for a float q in (0, 1), exact and rounded
+    once to a float: the sum of the terms C(c, j) q^j (1 - q)^(c - j),
+    j >= t, in integers, by binary splitting of the ratio of consecutive
+    terms, (c - j) q / ((j + 1) (1 - q))."""
+    a, d = float(q).as_integer_ratio()
+    b = d - a
+
+    def split(lo, hi):
+        # (P, Q, T): the sum over lo <= k < hi of the ratios' product from
+        # lo to k is T / Q, and P is the product of all their numerators
+        if hi - lo == 1:
+            return (c - lo) * a, (lo + 1) * b, (lo + 1) * b
+        mid = (lo + hi) // 2
+        p1, q1, t1 = split(lo, mid)
+        p2, q2, t2 = split(mid, hi)
+        return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+    _, den, num = split(t, c + 1)
+    # int / int is correctly rounded however large its operands
+    return math.comb(c, t) * a**t * b ** (c - t) * num / (d**c * den)
+
+
+def _tail_table(probs, width):
+    order, block = block_order(probs[:, None])
+    return survival_table(probs[order, None], width, block)[:, 0]
+
+
+# a probability whose complement 1 - q is not a float
+ODD = 0.25 + 2.0**-54
+
+
+def test_tail_matches_exact_binomial_sums():
+    rng = np.random.default_rng(19)
+    cases = [
+        np.array([0.0] * 6 + [0.3, 0.7, 0.3]),  # the block is q = 0
+        np.array([1.0] * 5 + [0.2, 0.9]),  # the block is q = 1
+        np.array([0.9, 0.0, 1.0, 0.4, 1e-9]),  # every class one trial
+        np.array([ODD] * 12 + [0.05] * 7 + [ODD] * 3),  # two classes
+        rng.choice([0.3, 1e-3, 0.97, ODD, 0.5, 0.0], size=60),  # many classes
+        np.full(40, 0.1),  # one class
+    ]
+    for probs in cases:
+        m = probs.size
+        # the table reaches beyond the block's c + 1 rows and above m
+        table = _tail_table(probs, m + 4)
+        for t, exact in enumerate(_exact_tails(probs)):
+            if exact >= 1e-300:
+                assert abs(table[t] - exact) <= 1e-13 * exact
+            assert poisson_binomial_upper_tail(probs, t) == min(table[t], 1.0)
+        assert (table[m + 1 :] == 0.0).all()
+
+
+def test_tail_of_max_reports_equal_trials_matches_exact_sum():
+    # at the mode, 100 above it, and a tail near 1e-300; without the
+    # correction for rounding q / (1 - q), q = 0.3 is 2e-13 off there
+    for q, ts in [(0.3, (3000, 3100, 4767)), (ODD, (2500, 4150))]:
+        table = _tail_table(np.full(MAX_REPORTS, q), MAX_REPORTS + 1)
+        for t in ts:
+            exact = _exact_binomial_tail(q, MAX_REPORTS, t)
+            assert exact >= 1e-300
+            assert abs(table[t] - exact) <= 1e-13 * exact
 
 
 def test_tail_input_validation():

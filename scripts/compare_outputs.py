@@ -11,18 +11,21 @@ are: ``audit --study`` 1, 2, 3, 4a, 4b and 4c, and 2 and 3 again with
 ``--method scm-components``; ``scm`` (both rules) and ``becd`` (both
 corrections) on a copy of the checkout's benchmark report file; and
 ``simulate`` in shuffle and generate mode, the latter with and without a
-fixed ``--profile``, for 50 trials. Two more classrooms have report files
-that the script writes from fixed seeds, the same bytes for both sides: a
-40 x 200 one (``wide.txt``), on which ``simulate --mode shuffle`` covers
-rows of 25 bytes as well as the benchmark's 8 and ``becd`` runs with both
-corrections; and a 30 x 120 one whose reports all name 5 children
-(``one_size.txt``), on which ``becd`` runs the dyad test's binomial block
-over every report. Each command's exit code, stdout and stderr are
-compared with its files. Every file that differs or exists on one side
-only, and every command that exits nonzero, is printed; for a CSV file of
-equal shape, so are the number of cells that differ and the largest
-relative difference of those that are numbers on both sides. The exit
-status is 1 if anything is printed.
+fixed ``--profile``, for 50 trials. Three more classrooms have report
+files that the script writes from fixed seeds, the same bytes for both
+sides: a 40 x 200 one (``wide.txt``), on which ``simulate --mode shuffle``
+covers rows of 25 bytes as well as the benchmark's 8, ``becd`` runs with
+both corrections and ``scm`` with both rules; a 30 x 120 one whose reports
+all name 5 children (``one_size.txt``), on which ``becd`` runs the dyad
+test's binomial block over every report; and a 40 x 120 one whose reports
+each name children of one of four blocks of 10 (``blocks.txt``), whose
+dense peer network sends ``scm --rule fifty`` down its lockstep first
+pass, and on which ``scm`` runs with both rules. Each command's exit
+code, stdout and stderr are compared with its files. Every file that
+differs or exists on one side only, and every command that exits
+nonzero, is printed; for a CSV file of equal shape, so are the number of
+cells that differ and the largest relative difference of those that are
+numbers on both sides. The exit status is 1 if anything is printed.
 """
 
 from __future__ import annotations
@@ -43,19 +46,28 @@ BENCHMARK_REPORTS = pathlib.Path("src", "peeraudit", "data", "benchmark_reports.
 PROFILE = {"n_children": 20, "n_reports": 60, "nomination_probability": 0.25,
            "nomination_skew": 0.5, "group_size_skew": 0.5}
 SIMULATE_TRIALS = "50"
-# children, reports, smallest and largest report, and seed of the classrooms
-# the script writes: the wide one, and one whose reports have one size
+# children, reports, smallest and largest report, seed and number of blocks
+# of the classrooms the script writes: the wide one, one whose reports have
+# one size, and one whose reports each stay within one block of the roster
 WIDE_CLASS = (40, 200, 2, 12, 21)
 ONE_SIZE_CLASS = (30, 120, 5, 5, 22)
+BLOCK_CLASS = (40, 120, 4, 8, 23, 4)
 
 
-def class_reports(n_children: int, n_reports: int, smallest: int, largest: int, seed: int) -> str:
+def class_reports(n_children: int, n_reports: int, smallest: int, largest: int, seed: int,
+                  blocks: int = 1) -> str:
     """Report file of a classroom of seeded random reports, each naming
-    ``smallest`` to ``largest`` children."""
+    ``smallest`` to ``largest`` children of one of ``blocks`` equal,
+    consecutive blocks of the roster, drawn for each report."""
     rng = random.Random(seed)
     names = [f"c{i + 1:02d}" for i in range(n_children)]
-    return "".join(",".join(rng.sample(names, rng.randint(smallest, largest))) + "\n"
-                   for _ in range(n_reports))
+    size = n_children // blocks
+    lines = []
+    for _ in range(n_reports):
+        first = size * rng.randrange(blocks) if blocks > 1 else 0
+        lines.append(",".join(rng.sample(names[first:first + size], rng.randint(smallest, largest)))
+                     + "\n")
+    return "".join(lines)
 
 
 def commands(trials: int, seeds: list[int]):
@@ -71,6 +83,8 @@ def commands(trials: int, seeds: list[int]):
                       "--method", "scm-components", "--trials", str(trials))
         for rule in ("fifty", "components"):
             yield run(f"scm-{rule}", "scm", "reports.txt", "--rule", rule)
+            yield run(f"scm-wide-{rule}", "scm", "wide.txt", "--rule", rule)
+            yield run(f"scm-blocks-{rule}", "scm", "blocks.txt", "--rule", rule)
         for correction in ("none", "holm"):
             yield run(f"becd-{correction}", "becd", "reports.txt", "--correction", correction)
             yield run(f"becd-wide-{correction}", "becd", "wide.txt", "--correction", correction)
@@ -148,7 +162,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     jobs = list(commands(args.trials, args.seeds))
     inputs = {"wide.txt": class_reports(*WIDE_CLASS),
-              "one_size.txt": class_reports(*ONE_SIZE_CLASS)}
+              "one_size.txt": class_reports(*ONE_SIZE_CLASS),
+              "blocks.txt": class_reports(*BLOCK_CLASS)}
     with tempfile.TemporaryDirectory() as tmp:
         sides = [pathlib.Path(tmp, "parent"), pathlib.Path(tmp, "change")]
         # each side runs its commands one after another, the sides in parallel

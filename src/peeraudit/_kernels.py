@@ -33,8 +33,17 @@ BACKEND = "python"
 
 
 def bitset_rows(matrix) -> list[int]:
-    """Row i as a Python int whose bit c is set when matrix[i, c] != 0."""
+    """Row i as a Python int whose bit c is set when matrix[i, c] != 0.
+
+    Rows of at most 64 columns are read as one little-endian uint64 each,
+    all in one ``tolist``; wider rows one ``int.from_bytes`` each.
+    """
     packed = np.packbits(np.asarray(matrix) != 0, axis=1, bitorder="little")
+    rows, width = packed.shape
+    if width <= 8:
+        words = np.zeros((rows, 8), dtype=np.uint8)
+        words[:, :width] = packed
+        return words.view("<u8").ravel().tolist()
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 

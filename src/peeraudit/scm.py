@@ -114,6 +114,71 @@ def _check_peer_network(net, children: tuple[str, ...]) -> np.ndarray:
     return net
 
 
+# the lockstep first pass holds at most this many (seed, vertex) cells at once
+LOCKSTEP_CELLS = 1 << 18
+# added to a vertex's cell in the lockstep array when it becomes a member:
+# the cell stays negative, below any group size, for the rest of the pass
+_MEMBER = -(1 << 30)
+
+
+def _grow_pass(nb: list[int], members: int, reach: int, size: int) -> tuple[int, int, int]:
+    """One growth pass over the outsiders in visit order; those that join
+    count for the rest of the pass. Returns the new (members, reach, size)."""
+    pos = 0
+    while pending := reach >> pos << pos:
+        cand = (pending & -pending).bit_length() - 1
+        pos = cand + 1
+        if 2 * (nb[cand] & members).bit_count() >= size:
+            members |= 1 << cand
+            reach = (reach | nb[cand]) & ~members
+            size += 1
+    return members, reach, size
+
+
+def _first_passes(nb: list[int]):
+    """(members, reach, size) after the first pass of each seed (u, v),
+    u < v, in the order of u, then v; each seed grows from its pair."""
+    for u in range(len(nb)):
+        later = nb[u] >> (u + 1) << (u + 1)
+        while later:
+            v = (later & -later).bit_length() - 1
+            later ^= 1 << v
+            pair = 1 << u | 1 << v
+            # reach: the outsiders tied to the group; no other vertex can join
+            yield _grow_pass(nb, pair, (nb[u] | nb[v]) & ~pair, 2)
+
+
+def _first_passes_lockstep(a: np.ndarray):
+    """What ``_first_passes`` yields, with the seeds' passes run together.
+
+    ``a`` is the network among the tied vertices, in visit order; its
+    seeds, in the order of u, then v, are ``np.nonzero(np.triu(a, 1))``.
+    Row i of the array holds twice the ties of each vertex into seed i's
+    group, or a large negative number for a member, so one NumPy step per
+    vertex, in visit order, lets every seed whose group the vertex can
+    join take it in. Seeds run in blocks of at most ``LOCKSTEP_CELLS``
+    cells.
+    """
+    tied = a.shape[0]
+    us, vs = np.nonzero(np.triu(a, 1))
+    # row c: what vertex c adds to a row when it joins; its own cell marks it
+    joined = 2 * a.astype(np.int32)
+    np.fill_diagonal(joined, _MEMBER)
+    rows = max(1, LOCKSTEP_CELLS // tied)
+    for lo in range(0, len(us), rows):
+        u, v = us[lo:lo + rows], vs[lo:lo + rows]
+        t2 = joined[u] + joined[v]
+        size = np.full(len(u), 2, dtype=np.int32)
+        for c in range(tied):
+            joins = np.flatnonzero(t2[:, c] >= size)
+            if joins.size:
+                t2[joins] += joined[c]
+                size[joins] += 1
+        # members are the negative cells, the outsiders tied to the group
+        # (its reach) the positive ones
+        yield from zip(bitset_rows(t2 < 0), bitset_rows(t2 > 0), size.tolist())
+
+
 def identify_groups_fifty_percent(
     net: np.ndarray, children: tuple[str, ...]
 ) -> GroupAssignment:
@@ -144,6 +209,15 @@ def identify_groups_fifty_percent(
     and the later one would be merged into it. The rule, the visit order
     and the groups returned are those of growing every seed.
 
+    When the seeds number more than twice the tied vertices, every
+    seed's first pass runs at once, one NumPy step per tied vertex in
+    visit order (``_first_passes_lockstep``), in blocks of at most
+    ``LOCKSTEP_CELLS`` (seed, vertex) cells, so memory stays bounded at
+    any class size. On sparser networks two NumPy calls per vertex cost
+    more than the popcounts they save, and each seed's first pass starts
+    from its pair. Either way each seed then goes on, in seed order, from
+    its members after the first pass.
+
     Growth is memoized on the member set at the start of each pass. At
     that point the outsiders tied to the group are exactly the
     neighbours of the members, so the rest of the seed's growth and its
@@ -152,67 +226,57 @@ def identify_groups_fifty_percent(
     group (or is dropped with it), and stops growing there. Each stored
     key is a distinct pass start, from the second pass on, of a seed
     that found no stored set, so the memo holds at most one n-bit entry
-    per pass already run: its size is bounded by the time spent.
+    per pass already run: its size is bounded by the time spent. The
+    first pass never reads the memo, so running it ahead of the rest
+    changes nothing.
     """
     net = _check_peer_network(net, children) != 0
     n = net.shape[0]
     deg = net.sum(axis=1)
     order = sorted(range(n), key=lambda i: (-deg[i], i))
-    # row r, bit s: the vertices r-th and s-th in the visit order are tied
-    nb = bitset_rows(net[np.ix_(order, order)])
+    # row r, column s: the vertices r-th and s-th in the visit order are tied
+    a = net[np.ix_(order, order)]
+    nb = bitset_rows(a)
+    # the tied vertices come first in the visit order
+    tied = int(np.count_nonzero(deg))
+    if int(deg.sum()) // 2 > 2 * tied:
+        first = _first_passes_lockstep(a[:tied, :tied])
+    else:
+        first = _first_passes(nb)
     grown_groups: dict[int, None] = {}  # bitsets in first-seen order
     # pass-start members -> the seed's final group, or 0 if it was dropped
     memo: dict[int, int] = {}
-    for u in range(n):
-        later = nb[u] >> (u + 1) << (u + 1)
-        while later:
-            v = (later & -later).bit_length() - 1
-            later ^= 1 << v
-            members = 1 << u | 1 << v
-            # outsiders tied to the group; no other vertex can ever join
-            reach = (nb[u] | nb[v]) & ~members
-            size = 2
-            starts = []  # this seed's pass starts, from the second pass on
-            group = None
-            while True:
-                # one pass over the outsiders in visit order; those that join
-                # count for the rest of the pass
-                grown = False
-                pos = 0
-                while pending := reach >> pos << pos:
-                    cand = (pending & -pending).bit_length() - 1
-                    pos = cand + 1
-                    if 2 * (nb[cand] & members).bit_count() >= size:
-                        members |= 1 << cand
-                        reach = (reach | nb[cand]) & ~members
-                        size += 1
-                        grown = True
-                if not grown:
+    for members, reach, size in first:
+        starts = []  # this seed's pass starts, from the second pass on
+        group = None
+        before = 2  # the size at the start of the last pass
+        while size > before:
+            group = memo.get(members)
+            if group is not None:
+                break
+            starts.append(members)
+            before = size
+            members, reach, size = _grow_pass(nb, members, reach, size)
+        if group is None:
+            # prune members no longer tied to half the rest of the group
+            while size >= 2:
+                violators = []
+                rest = members
+                while rest:
+                    m = (rest & -rest).bit_length() - 1
+                    rest ^= 1 << m
+                    links = (nb[m] & members).bit_count()
+                    if 2 * links < size - 1:
+                        violators.append((links, order[m], m))
+                if not violators:
                     break
-                group = memo.get(members)
-                if group is not None:
-                    break
-                starts.append(members)
-            if group is None:
-                # prune members no longer tied to half the rest of the group
-                while size >= 2:
-                    violators = []
-                    rest = members
-                    while rest:
-                        m = (rest & -rest).bit_length() - 1
-                        rest ^= 1 << m
-                        links = (nb[m] & members).bit_count()
-                        if 2 * links < size - 1:
-                            violators.append((links, order[m], m))
-                    if not violators:
-                        break
-                    members ^= 1 << min(violators)[2]
-                    size -= 1
-                group = members if size >= 2 else 0
-                for start in starts:
-                    memo[start] = group
-            if group:
-                grown_groups.setdefault(group, None)
+                members ^= 1 << min(violators)[2]
+                size -= 1
+            group = members if size >= 2 else 0
+            for start in starts:
+                memo[start] = group
+        if group:
+            grown_groups.setdefault(group, None)
     groups = [{order[m] for m in range(n) if g >> m & 1} for g in grown_groups]
     return _finish(children, groups)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from peeraudit import scm
 from peeraudit._kernels import bitset_rows
 from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import curveball_randomize, draw_classroom
@@ -300,6 +301,88 @@ def test_fifty_matches_reference_on_classroom_networks():
         )
 
 
+def _visit_order(net):
+    """The network in visit order, its number of tied vertices and edges."""
+    deg = net.sum(axis=1)
+    order = sorted(range(len(deg)), key=lambda i: (-deg[i], i))
+    return net[np.ix_(order, order)] != 0, int(np.count_nonzero(deg)), int(deg.sum()) // 2
+
+
+def _switch_networks():
+    """Edge cases and random networks on both sides of the lockstep switch."""
+    one_edge = np.zeros((5, 5), dtype=np.int8)
+    one_edge[1, 3] = one_edge[3, 1] = 1
+    # a K_7 and a K_4 among 15 children, with four untied children between
+    # them in roster order: 27 edges on 11 tied vertices
+    fewer_tied = np.zeros((15, 15), dtype=np.int8)
+    for clique in ([1, 3, 5, 7, 9, 11, 13], [0, 2, 4, 6]):
+        fewer_tied[np.ix_(clique, clique)] = 1
+    np.fill_diagonal(fewer_tied, 0)
+    nets = [np.zeros((1, 1), dtype=np.int8), np.zeros((4, 4), dtype=np.int8), one_edge,
+            np.array([[0, 1], [1, 0]], dtype=np.int8), fewer_tied]
+    nets += [1 - np.eye(n, dtype=np.int8) for n in range(1, 13)]  # K_n
+    rng = np.random.default_rng(23)
+    nets += [_random_network(rng, int(rng.integers(2, 31)), rng.uniform(0.05, 0.9))
+             for _ in range(80)]
+    return nets
+
+
+def test_fifty_matches_reference_on_both_sides_of_the_lockstep_switch(monkeypatch):
+    calls = {"lockstep": 0, "pairs": 0}
+
+    def counted(name, passes):
+        def wrapper(*args):
+            calls[name] += 1
+            return passes(*args)
+        return wrapper
+
+    monkeypatch.setattr(scm, "_first_passes_lockstep",
+                        counted("lockstep", scm._first_passes_lockstep))
+    monkeypatch.setattr(scm, "_first_passes", counted("pairs", scm._first_passes))
+    nets = _switch_networks()
+    nets += [_class_network(draw_classroom(np.random.default_rng(seed))[1])
+             for seed in range(30)]
+    lockstep = 0
+    for net in nets:
+        _, tied, edges = _visit_order(net)
+        lockstep += edges > 2 * tied
+        names = _names(net.shape[0])
+        assert identify_groups_fifty_percent(net, names) == _fifty_reference(net, names)
+    assert calls == {"lockstep": lockstep, "pairs": len(nets) - lockstep}
+    assert lockstep >= 20 and len(nets) - lockstep >= 20
+
+
+def test_lockstep_first_passes_equal_the_passes_from_each_pair():
+    for net in _switch_networks():
+        a, tied, edges = _visit_order(net)
+        if edges:
+            lockstep = list(scm._first_passes_lockstep(a[:tied, :tied]))
+            assert lockstep == list(scm._first_passes(bitset_rows(a)))
+            assert len(lockstep) == edges
+
+
+def test_lockstep_blocks_give_the_same_groups(monkeypatch):
+    # the lockstep networks of up to 16 children: a block of one seed costs
+    # a NumPy step per tied vertex
+    nets = [net for net in _switch_networks() if len(net) <= 16]
+    checked = 0
+    for net in nets:
+        _, tied, edges = _visit_order(net)
+        if edges <= 2 * tied:
+            continue
+        checked += 1
+        names = _names(net.shape[0])
+        expected = _fifty_reference(net, names)
+        # one seed per block, two, and all but the last seed in the first
+        for rows in (1, 2, edges - 1):
+            monkeypatch.setattr(scm, "LOCKSTEP_CELLS", rows * tied)
+            assert identify_groups_fifty_percent(net, names) == expected
+        # fewer cells than one seed's row still runs one seed per block
+        monkeypatch.setattr(scm, "LOCKSTEP_CELLS", tied - 1)
+        assert identify_groups_fifty_percent(net, names) == expected
+    assert checked >= 20
+
+
 @pytest.mark.parametrize("net, message", [
     (np.zeros((3, 4), dtype=np.int8), "square"),
     (np.zeros((4, 4), dtype=np.int8), "rows"),
@@ -358,7 +441,7 @@ def test_components_match_search_on_random_networks():
 
 def test_bitset_rows_set_the_nonzero_columns():
     rng = np.random.default_rng(3)
-    for n, m in [(1, 1), (3, 0), (4, 7), (5, 8), (6, 9), (2, 130)]:
+    for n, m in [(1, 1), (3, 0), (0, 5), (4, 7), (5, 8), (6, 9), (3, 64), (3, 65), (2, 130)]:
         matrix = (rng.random((n, m)) < 0.4) * rng.integers(1, 4, size=(n, m))
         expected = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in matrix]
         assert bitset_rows(matrix) == expected

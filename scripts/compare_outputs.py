@@ -11,21 +11,26 @@ are: ``audit --study`` 1, 2, 3, 4a, 4b and 4c, and 2 and 3 again with
 ``--method scm-components``; ``scm`` (both rules) and ``becd`` (both
 corrections) on a copy of the checkout's benchmark report file; and
 ``simulate`` in shuffle and generate mode, the latter with and without a
-fixed ``--profile``, for 50 trials. Three more classrooms have report
-files that the script writes from fixed seeds, the same bytes for both
-sides: a 40 x 200 one (``wide.txt``), on which ``simulate --mode shuffle``
-covers rows of 25 bytes as well as the benchmark's 8, ``becd`` runs with
-both corrections and ``scm`` with both rules; a 30 x 120 one whose reports
-all name 5 children (``one_size.txt``), on which ``becd`` runs the dyad
-test's binomial block over every report; and a 40 x 120 one whose reports
-each name children of one of four blocks of 10 (``blocks.txt``), whose
-dense peer network sends ``scm --rule fifty`` down its lockstep first
-pass, and on which ``scm`` runs with both rules. Each command's exit
-code, stdout and stderr are compared with its files. Every file that
-differs or exists on one side only, and every command that exits
-nonzero, is printed; for a CSV file of equal shape, so are the number of
-cells that differ and the largest relative difference of those that are
-numbers on both sides. The exit status is 1 if anything is printed.
+fixed ``--profile``, for 50 trials, and again with a second profile of 15
+children, 200 reports and nomination probability 0.9
+(``profile_rest.json``), on which most reports end by taking every child
+left. Four more classrooms have report files that the script writes from
+fixed seeds, the same bytes for both sides: a 40 x 200 one
+(``wide.txt``), on which ``simulate --mode shuffle`` covers rows of 25
+bytes as well as the benchmark's 8, ``becd`` runs with both corrections
+and ``scm`` with both rules; a 30 x 120 one whose reports all name 5
+children (``one_size.txt``), on which ``becd`` runs the dyad test's
+binomial block over every report; a 32 x 173 one whose reports name 1 to
+20 children (``many_sizes.txt``), on which ``becd`` runs a small block
+beside many steps; and a 40 x 120 one whose reports each name children of
+one of four blocks of 10 (``blocks.txt``), whose dense peer network sends
+``scm --rule fifty`` down its lockstep first pass, and on which ``scm``
+runs with both rules. Each command's exit code, stdout and stderr are
+compared with its files. Every file that differs or exists on one side
+only, and every command that exits nonzero, is printed; for a CSV file of
+equal shape, so are the number of cells that differ and the largest
+relative difference of those that are numbers on both sides. The exit
+status is 1 if anything is printed.
 """
 
 from __future__ import annotations
@@ -45,12 +50,16 @@ from concurrent.futures import ThreadPoolExecutor
 BENCHMARK_REPORTS = pathlib.Path("src", "peeraudit", "data", "benchmark_reports.txt")
 PROFILE = {"n_children": 20, "n_reports": 60, "nomination_probability": 0.25,
            "nomination_skew": 0.5, "group_size_skew": 0.5}
+PROFILE_REST = {"n_children": 15, "n_reports": 200, "nomination_probability": 0.9,
+                "nomination_skew": 1.99, "group_size_skew": -0.52}
 SIMULATE_TRIALS = "50"
 # children, reports, smallest and largest report, seed and number of blocks
 # of the classrooms the script writes: the wide one, one whose reports have
-# one size, and one whose reports each stay within one block of the roster
+# one size, one whose reports have many, and one whose reports each stay
+# within one block of the roster
 WIDE_CLASS = (40, 200, 2, 12, 21)
 ONE_SIZE_CLASS = (30, 120, 5, 5, 22)
+MANY_SIZES_CLASS = (32, 173, 1, 20, 24)
 BLOCK_CLASS = (40, 120, 4, 8, 23, 4)
 
 
@@ -89,6 +98,7 @@ def commands(trials: int, seeds: list[int]):
             yield run(f"becd-{correction}", "becd", "reports.txt", "--correction", correction)
             yield run(f"becd-wide-{correction}", "becd", "wide.txt", "--correction", correction)
         yield run("becd-one-size", "becd", "one_size.txt")
+        yield run("becd-many-sizes", "becd", "many_sizes.txt")
         yield run("simulate-shuffle", "simulate", "--mode", "shuffle", "--reports", "reports.txt",
                   "--trials", SIMULATE_TRIALS)
         yield run("simulate-shuffle-wide", "simulate", "--mode", "shuffle", "--reports", "wide.txt",
@@ -96,6 +106,8 @@ def commands(trials: int, seeds: list[int]):
         yield run("simulate-generate", "simulate", "--mode", "generate", "--trials", SIMULATE_TRIALS)
         yield run("simulate-profile", "simulate", "--mode", "generate", "--profile", "profile.json",
                   "--trials", SIMULATE_TRIALS)
+        yield run("simulate-profile-rest", "simulate", "--mode", "generate",
+                  "--profile", "profile_rest.json", "--trials", SIMULATE_TRIALS)
 
 
 def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs, inputs: dict[str, str]) -> None:
@@ -113,6 +125,7 @@ def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs, inputs: dict[str,
     for name, text in inputs.items():
         (work / name).write_text(text, encoding="utf-8")
     (work / "profile.json").write_text(json.dumps(PROFILE), encoding="utf-8")
+    (work / "profile_rest.json").write_text(json.dumps(PROFILE_REST), encoding="utf-8")
     for name, argv in jobs:
         done = subprocess.run([sys.executable, "-m", "peeraudit.cli", *argv],
                               cwd=work, env=env, capture_output=True)
@@ -163,6 +176,7 @@ def main(argv=None) -> int:
     jobs = list(commands(args.trials, args.seeds))
     inputs = {"wide.txt": class_reports(*WIDE_CLASS),
               "one_size.txt": class_reports(*ONE_SIZE_CLASS),
+              "many_sizes.txt": class_reports(*MANY_SIZES_CLASS),
               "blocks.txt": class_reports(*BLOCK_CLASS)}
     with tempfile.TemporaryDirectory() as tmp:
         sides = [pathlib.Path(tmp, "parent"), pathlib.Path(tmp, "change")]

@@ -65,7 +65,7 @@ def survival_table(probs: np.ndarray, width: int, block: int) -> np.ndarray:
     """
     d = probs.shape[1]
     if block >= 2:
-        start = _binomial_survival(probs[0], block)[:width]
+        start = _binomial_survival(probs[0], block, width)
         probs = probs[1:]
     else:
         start, block = np.ones((1, d)), 0
@@ -108,8 +108,9 @@ def _two_product_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((hi_a * hi_b - a * b) + hi_a * lo_b + lo_a * hi_b) + lo_a * lo_b
 
 
-def _binomial_survival(q: np.ndarray, c: int) -> np.ndarray:
-    """P(Binomial(c, q) >= t) for t = 0..c, as a (c + 1, d) table.
+def _binomial_survival(q: np.ndarray, c: int, width: int) -> np.ndarray:
+    """P(Binomial(c, q) >= t) for t < min(``width``, c + 1), as a table of
+    that many rows and one column per entry of ``q``.
 
     The pmf is built outward from its mode by the ratios
     f(j) = pmf(j) / pmf(j - 1) = (c + 1 - j) rho / j, rho = q / (1 - q):
@@ -122,7 +123,15 @@ def _binomial_survival(q: np.ndarray, c: int) -> np.ndarray:
     So the exact remainders of 1 - q and of q / (1 - q) give rho's relative
     error e, and as pmf(j) is proportional to C(c, j) rho^j, term j is
     corrected by (1 + e)^j ~ 1 + j e; the total absorbs the constant factor.
-    q = 0 and q = 1 are exact. Two (c + 1, d) arrays hold all the work.
+    q = 0 and q = 1 are exact.
+
+    1 / f(j + 1) is (j + 1) / (c - j) divided by rho. The dividend grows
+    with j and rounded division is monotone in each operand, so from the
+    first row r1 at which it reaches 1 for the largest rho, down's factor is
+    exactly 1 in every column and down itself is 1: it is built only on the
+    rows below r1. The pmf's whole sum is the total, but only the rows
+    that the table keeps are normalised. Two (c + 1, d) arrays hold all the
+    work.
     """
     inner = (q > 0.0) & (q < 1.0)
     p = np.where(inner, q, 0.5)
@@ -133,18 +142,23 @@ def _binomial_survival(q: np.ndarray, c: int) -> np.ndarray:
     j = np.arange(c + 1.0)
     with np.errstate(divide="ignore"):  # the ratios into j = 0 and out of j = c are inf
         up = np.multiply.outer((c + 1 - j) / j, rho)
-        down = np.divide.outer((j + 1) / (c - j), rho)
+        into = (j + 1) / (c - j)
+        # the ratio out of j = c is inf, so some row reaches 1
+        r1 = int(np.argmax(into / rho.max(initial=0.0) >= 1.0))
     np.minimum(up, 1.0, out=up)
-    np.minimum(down, 1.0, out=down)
     np.cumprod(up, axis=0, out=up)
+    work = np.empty_like(up)
+    down = np.divide.outer(into[:r1], rho, out=work[:r1])
+    np.minimum(down, 1.0, out=down)
     np.cumprod(down[::-1], axis=0, out=down[::-1])
-    up *= down
-    np.multiply.outer(j, err, out=down)
-    down += 1.0
-    up *= down
-    surv = np.cumsum(up[::-1], axis=0, out=down[::-1])[::-1]
+    up[:r1] *= down
+    np.multiply.outer(j, err, out=work)
+    work += 1.0
+    up *= work
+    surv = np.cumsum(up[::-1], axis=0, out=work[::-1])[::-1]
+    surv = surv[:width]
     surv /= surv[0]
-    surv[:, ~inner] = j[:, None] <= np.where(q[~inner] == 1.0, c, 0)
+    surv[:, ~inner] = j[: surv.shape[0], None] <= np.where(q[~inner] == 1.0, c, 0)
     return surv
 
 

@@ -67,8 +67,11 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
     and so do columns; so the unknowns are one per distinct core row sum
     and per distinct column sum, each term of a margin weighted by the
     number of rows or columns that share its sum, and the iterates are the
-    full core's up to rounding. The scale gauge (x -> cx, y -> y/c) fixes
-    the first column class's multiplier and drops its redundant equation.
+    full core's up to rounding. The sums are integers, so the classes come
+    from one ``np.bincount`` of each margin (``_sum_classes``). The scale
+    gauge (x -> cx, y -> y/c) fixes the first column class's multiplier
+    and drops its redundant equation. When nothing is peeled, the fit is
+    the classes' cells spread over the matrix, with no copy of the input.
     Steps are halved until the largest margin residual falls; the solve
     stops below ``MARGIN_TOL`` / 1000, after 100 steps or at a singular
     Jacobian, and a fit that misses a margin of ``r`` by ``MARGIN_TOL``
@@ -79,22 +82,22 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
         raise ValueError("input must be a nonempty binary matrix")
     if r.sum() == 0:
         raise ValueError("degenerate all-zero matrix")
-    p = (r == 1).astype(np.float64)  # the input's cells, -0.0 read as 0.0
     ri, ci = np.arange(r.shape[0]), np.arange(r.shape[1])
     # peeling a forced line leaves every other forced line forced, so
     # dropping all of them at once ends in the same core as any order
+    core = r
     while True:
-        core = r[np.ix_(ri, ci)]
         rt, ct = core.sum(axis=1), core.sum(axis=0)
         free_rows, free_cols = (rt > 0) & (rt < ci.size), (ct > 0) & (ct < ri.size)
         if free_rows.all() and free_cols.all():
             break
         ri, ci = ri[free_rows], ci[free_cols]
+        core = r[np.ix_(ri, ci)]
     if ri.size:  # an empty core has no columns either
         total = rt.sum()
         # one log-multiplier per distinct margin (see the docstring)
-        row_sums, row_class, row_count = np.unique(rt, return_inverse=True, return_counts=True)
-        col_sums, col_class, col_count = np.unique(ct, return_inverse=True, return_counts=True)
+        row_sums, row_class, row_count = _sum_classes(rt)
+        col_sums, col_class, col_count = _sum_classes(ct)
         k = row_sums.size
         y0 = col_sums[0] / np.sqrt(total)  # the gauge: x -> cx, y -> y/c
 
@@ -129,11 +132,27 @@ def fit_bicm(r: np.ndarray) -> np.ndarray:
             else:
                 break
             theta, (f, jac, probs) = theta - scale * step, trial
-        p[np.ix_(ri, ci)] = probs[np.ix_(row_class, col_class)]
+        cells = probs[row_class][:, col_class]
+    if core is r:  # nothing peeled: the core's cells are all of p
+        p = cells
+    else:
+        p = (r == 1).astype(np.float64)  # the input's cells, -0.0 read as 0.0
+        if ri.size:
+            p[np.ix_(ri, ci)] = cells
     err = _margin_error(p, r.sum(axis=1), r.sum(axis=0))
     if err >= MARGIN_TOL:
         raise ConvergenceError(f"margin residual {err:.3e}")
     return p
+
+
+def _sum_classes(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(sums, return_inverse=True, return_counts=True)`` for
+    sums of 0/1 cells, which are integral, from one ``np.bincount``."""
+    sums = sums.astype(np.intp)
+    counts = np.bincount(sums)
+    present = counts > 0
+    values = np.flatnonzero(present)
+    return values.astype(np.float64), (np.cumsum(present) - 1)[sums], counts[values]
 
 
 def _margin_error(probs, row_sums, col_sums) -> float:

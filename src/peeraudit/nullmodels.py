@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import getitem
 from types import SimpleNamespace
@@ -153,7 +154,7 @@ def curveball_randomize(
     if n_trades < 0:
         raise ValueError("n_trades must be >= 0")
     if n < 2 or n_trades == 0:
-        return RecallMatrix(rm.children, rm.entries.copy())
+        return RecallMatrix._unchecked(rm.children, rm.entries.copy())
     n_bytes = (m + 7) // 8
     tables = _pool_tables(n_bytes)
     rows = bitset_rows(rm.entries)
@@ -193,7 +194,7 @@ def curveball_randomize(
         b"".join(r.to_bytes(n_bytes, "little") for r in rows), dtype=np.uint8
     ).reshape(n, n_bytes)
     entries = np.unpackbits(packed, axis=1, count=m, bitorder="little")
-    return RecallMatrix(rm.children, entries.view(np.int8))
+    return RecallMatrix._unchecked(rm.children, entries.view(np.int8))
 
 
 def _pool_tables(n_bytes: int) -> tuple:
@@ -252,26 +253,31 @@ def _subset_weight_table(odds: np.ndarray, max_size: int) -> np.ndarray:
 
     table[k, i] = sum over k-subsets S of {i..n-1} of prod(odds[S]).
     Shared by every report of a classroom; scale-invariant in the odds.
+    Row k is the reversed cumulative sum of odds[i] * table[k - 1, i + 1].
+    ``np.cumsum`` adds in order, so each cell is the sum that the recursion
+    table[k, i] = odds[i] table[k - 1, i + 1] + table[k, i + 1] forms.
     """
     n = odds.size
     table = np.zeros((max_size + 1, n + 1))
     table[0, :] = 1.0
-    for i in range(n - 1, -1, -1):
-        table[1:, i] = odds[i] * table[:-1, i + 1] + table[1:, i + 1]
+    for k in range(1, max_size + 1):
+        np.cumsum((odds * table[k - 1, 1:])[::-1], out=table[k, -2::-1])
     return table
 
 
 def _draw_reports(rng: np.random.Generator, odds: np.ndarray, sizes: list[int]) -> list[int]:
     """The members of every report, report by report, each in child order.
 
-    Report j is a fixed-size subset of ``sizes[j]`` children drawn by the
+    Report j is a fixed-size subset of ``sizes[j]`` >= 1 children drawn by the
     conditional Poisson design (Chen, Dempster & Liu 1994): P(S) is
     proportional to prod(odds[S]) over subsets of that size, so fixed-size
     reports stay compatible with a multiplicative (maximum-entropy)
     cell-probability null. A report walks the children in order, takes
     all that are left once as many are left as it still needs, and
     otherwise takes child i when a uniform falls below its inclusion
-    probability given the number still needed.
+    probability given the number still needed. The walk reads the row of
+    inclusion probabilities of the number still needed, up to the child at
+    which that many are left, and moves to the next row at each child taken.
 
     The uniforms are drawn in batches of at most ``_UNIFORM_BATCH``, and a
     batch is refilled only between reports. Before each batch the
@@ -294,7 +300,7 @@ def _draw_reports(rng: np.random.Generator, odds: np.ndarray, sizes: list[int]) 
     used = 0
     state = None
     members: list[int] = []
-    for j, size in enumerate(sizes):
+    for j, need in enumerate(sizes):
         if len(uniforms) - used < n:
             if state is not None:
                 rng.bit_generator.state = state
@@ -302,17 +308,22 @@ def _draw_reports(rng: np.random.Generator, odds: np.ndarray, sizes: list[int]) 
             state = rng.bit_generator.state
             uniforms = rng.random(min(batch, n * (len(sizes) - j))).tolist()
             used = 0
-        need = size
+        # child i reads uniforms[used + i]; from child stop on, all are needed
+        row, stop = p_inc[need], n - need
         i = 0
-        while need:
-            if n - i == need:  # must take everything that is left
-                members.extend(range(i, n))
-                break
-            if uniforms[used] < p_inc[need][i]:
+        while i < stop:
+            if uniforms[used + i] < row[i]:
                 members.append(i)
                 need -= 1
-            used += 1
+                if not need:
+                    i += 1
+                    break
+                row = p_inc[need]
+                stop += 1
             i += 1
+        else:
+            members.extend(range(i, n))
+        used += i
     rng.bit_generator.state = state
     rng.random(used)
     return members
@@ -357,8 +368,12 @@ def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
     members = _draw_reports(rng, odds, sizes.tolist())
     entries = np.zeros((n, m), dtype=np.int8)
     entries[members, np.repeat(np.arange(m), sizes)] = 1
-    names = [f"c{i + 1:02d}" for i in range(n)]
-    return RecallMatrix(tuple(names), entries)
+    return RecallMatrix._unchecked(_child_names(n), entries)
+
+
+@lru_cache(maxsize=None)  # at most MAX_CHILDREN - 1 class sizes
+def _child_names(n: int) -> tuple[str, ...]:
+    return tuple(f"c{i + 1:02d}" for i in range(n))
 
 
 def draw_classroom(

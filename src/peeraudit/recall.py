@@ -58,6 +58,20 @@ class RecallMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _unchecked(cls, children: tuple[str, ...], entries: np.ndarray) -> RecallMatrix:
+        """The matrix of ``children`` and ``entries``, without the checks.
+
+        For null draws, which write a C-contiguous int8 matrix of 0/1 cells
+        with no empty column themselves, for children that are distinct and
+        nonempty. The entries are made read-only, as on the checked path.
+        """
+        entries.setflags(write=False)
+        rm = object.__new__(cls)
+        object.__setattr__(rm, "children", children)
+        object.__setattr__(rm, "entries", entries)
+        return rm
+
     @property
     def n_children(self) -> int:
         return self.entries.shape[0]

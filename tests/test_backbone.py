@@ -19,7 +19,14 @@ from peeraudit.backbone import (
     holm_adjust,
     poisson_binomial_upper_tail,
 )
-from peeraudit._kernels import block_order, class_pair_tails, dyad_pvalues, survival_table
+from peeraudit._kernels import (
+    _binomial_survival,
+    _two_product_error,
+    block_order,
+    class_pair_tails,
+    dyad_pvalues,
+    survival_table,
+)
 from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import (
     MAX_NOMINATION_SKEW,
@@ -241,6 +248,80 @@ def test_fit_matches_full_matrix_reference():
         _assert_matches_reference(r)
 
 
+def _fit_bicm_unique_reference(r):
+    """``fit_bicm`` with its classes from ``np.unique``, the peel's first
+    check on a copy of ``r``, and every fit scattered into a 0/1 copy of
+    ``r``, as it was before the classes came from ``np.bincount``."""
+    r = np.asarray(r, dtype=np.float64)
+    if r.size == 0 or not ((r == 0) | (r == 1)).all():
+        raise ValueError("input must be a nonempty binary matrix")
+    if r.sum() == 0:
+        raise ValueError("degenerate all-zero matrix")
+    p = (r == 1).astype(np.float64)
+    ri, ci = np.arange(r.shape[0]), np.arange(r.shape[1])
+    while True:
+        core = r[np.ix_(ri, ci)]
+        rt, ct = core.sum(axis=1), core.sum(axis=0)
+        free_rows, free_cols = (rt > 0) & (rt < ci.size), (ct > 0) & (ct < ri.size)
+        if free_rows.all() and free_cols.all():
+            break
+        ri, ci = ri[free_rows], ci[free_cols]
+    if ri.size:
+        total = rt.sum()
+        row_sums, row_class, row_count = np.unique(rt, return_inverse=True, return_counts=True)
+        col_sums, col_class, col_count = np.unique(ct, return_inverse=True, return_counts=True)
+        k = row_sums.size
+        y0 = col_sums[0] / np.sqrt(total)
+
+        def fun_jac(theta):
+            y = np.empty(col_sums.size)
+            y[0] = y0
+            y[1:] = np.exp(theta[k:])
+            probs = np.outer(np.exp(theta[:k]), y)
+            probs /= 1.0 + probs
+            f = np.concatenate([probs @ col_count - row_sums, (row_count @ probs - col_sums)[1:]])
+            w = probs * (1.0 - probs)
+            wr, wc = w * col_count, (row_count[:, None] * w)[:, 1:]
+            jac = np.diag(np.concatenate([wr.sum(axis=1), wc.sum(axis=0)]))
+            jac[:k, k:] = wr[:, 1:]
+            jac[k:, :k] = wc.T
+            return f, jac, probs
+
+        theta = np.log(np.concatenate([row_sums, col_sums[1:]]) / np.sqrt(total))
+        f, jac, probs = fun_jac(theta)
+        for _ in range(100):
+            resid = np.abs(f).max()
+            if resid < MARGIN_TOL / 1000:
+                break
+            try:
+                step = np.linalg.solve(jac, f)
+            except np.linalg.LinAlgError:
+                break
+            for scale in 0.5 ** np.arange(50):
+                trial = fun_jac(theta - scale * step)
+                if np.abs(trial[0]).max() < resid:
+                    break
+            else:
+                break
+            theta, (f, jac, probs) = theta - scale * step, trial
+        p[np.ix_(ri, ci)] = probs[np.ix_(row_class, col_class)]
+    return p
+
+
+def test_fit_matches_unique_reference_bitwise():
+    matrices = [load_benchmark().entries] + _peeled_matrices()
+    # seeds 100-139 lie outside the benchmark's classroom pool
+    matrices += [draw_classroom(np.random.default_rng(s))[1].entries for s in range(100, 140)]
+    peeled = 0
+    for r in matrices:
+        p = fit_bicm(r)
+        assert p.tobytes() == _fit_bicm_unique_reference(r).tobytes()
+        rt, ct = r.sum(axis=1), r.sum(axis=0)
+        peeled += bool(((rt == 0) | (rt == r.shape[1])).any() or ((ct == 0) | (ct == r.shape[0])).any())
+    # the four _peeled_matrices and some draws are peeled, the other draws not
+    assert 4 < peeled < len(matrices) - 1
+
+
 def _nested_matrix(rng):
     """Row i holds ones in its first k_i columns, k non-increasing, and
     rows and columns are then permuted (a Ferrers matrix)."""
@@ -446,6 +527,51 @@ def test_dyad_pvalues_with_distinct_columns_are_the_plain_recursion():
             surv[1:] = surv[1:] * (1.0 - p) + surv[:-1] * p
         expected[i, j] = expected[j, i] = min(surv[-1], 1.0)
     assert dyad_pvalues(cell_p, cooc).tobytes() == expected.tobytes()
+
+
+def _binomial_survival_reference(q, c):
+    """``_kernels._binomial_survival`` as it was before it built down only
+    below the rows where it is 1 and normalised only the rows kept: all
+    c + 1 rows."""
+    inner = (q > 0.0) & (q < 1.0)
+    p = np.where(inner, q, 0.5)
+    h = 1.0 - p
+    low = (1.0 - h) - p
+    rho = p / h
+    err = -((rho * h - p) + _two_product_error(rho, h)) / p - low / h
+    j = np.arange(c + 1.0)
+    with np.errstate(divide="ignore"):
+        up = np.multiply.outer((c + 1 - j) / j, rho)
+        down = np.divide.outer((j + 1) / (c - j), rho)
+    np.minimum(up, 1.0, out=up)
+    np.minimum(down, 1.0, out=down)
+    np.cumprod(up, axis=0, out=up)
+    np.cumprod(down[::-1], axis=0, out=down[::-1])
+    up *= down
+    np.multiply.outer(j, err, out=down)
+    down += 1.0
+    up *= down
+    surv = np.cumsum(up[::-1], axis=0, out=down[::-1])[::-1]
+    surv /= surv[0]
+    surv[:, ~inner] = j[:, None] <= np.where(q[~inner] == 1.0, c, 0)
+    return surv
+
+
+def test_binomial_survival_matches_reference_bitwise():
+    rng = np.random.default_rng(24)
+    edges = [0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5, 0.999]
+    qs = np.array(edges + rng.random(6).tolist() + (1e-3 * rng.random(4)).tolist())
+    for c in (2, 3, 4, 5, 8, 13, 60, 200, 1000, 10_000):
+        # every width for all q at once; one q at a time (d = 1, as
+        # poisson_binomial_upper_tail passes), every width up to c = 200
+        cases = [(qs, range(1, c + 2) if c <= 1000 else [*range(1, c, 97), c, c + 1])]
+        widths = range(1, c + 2) if c <= 200 else [1, 2, 3, c // 3, c // 2, c, c + 1]
+        cases += [(np.array([q]), widths) for q in qs]
+        for q, widths in cases:
+            expected = _binomial_survival_reference(q, c)
+            for width in widths:
+                got = _binomial_survival(q, c, width)
+                assert got.tobytes() == expected[:width].tobytes(), (c, width)
 
 
 def _exact_tails(probs):

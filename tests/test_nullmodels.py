@@ -26,7 +26,7 @@ from peeraudit.nullmodels import (
     sample_profile,
     skewness,
 )
-from peeraudit.recall import RecallMatrix, margins, parse_reports
+from peeraudit.recall import DataError, RecallMatrix, margins, parse_reports
 
 
 def _random_rm(rng, n, m, density=0.35):
@@ -628,6 +628,62 @@ def test_generate_matches_reference_across_uniform_batches():
         entries = _assert_generate_matches_reference(profile, rng, ref_rng)
         assert entries.sum() > 2 * nullmodels._UNIFORM_BATCH / profile.n_children
         assert rng.integers(2**32, dtype=np.uint32) == ref_rng.integers(2**32, dtype=np.uint32)
+
+
+def _subset_weight_table_reference(odds, max_size):
+    """The table one child at a time, from the last: column i is
+    odds[i] * table[:-1, i + 1] + table[1:, i + 1] below row 0."""
+    n = odds.size
+    table = np.zeros((max_size + 1, n + 1))
+    table[0, :] = 1.0
+    for i in range(n - 1, -1, -1):
+        table[1:, i] = odds[i] * table[:-1, i + 1] + table[1:, i + 1]
+    return table
+
+
+def test_subset_weight_table_matches_reference_bitwise():
+    rng = np.random.default_rng(24)
+    clipped = set()
+    for case in range(400):
+        n = int(rng.integers(1, 60))
+        max_size = case % MAX_REPORT_SIZE + 1
+        if case % 2:  # as generate_classroom makes them
+            weights = rng.beta(0.3, 0.3, size=n)
+            odds = np.clip(weights / weights.mean(), 1e-8, 1e8)
+        else:  # spread over 20 decades, many at either clip
+            odds = np.clip(10.0 ** rng.uniform(-10, 10, size=n), 1e-8, 1e8)
+        clipped.update(odds[(odds == 1e-8) | (odds == 1e8)].tolist())
+        table = nullmodels._subset_weight_table(odds, max_size)
+        assert table.tobytes() == _subset_weight_table_reference(odds, max_size).tobytes()
+    assert clipped == {1e-8, 1e8}
+
+
+def test_null_draws_pass_the_public_checks():
+    # both draws build their matrix without RecallMatrix's checks
+    rng = np.random.default_rng(24)
+    bench = load_benchmark()
+    outputs = []
+    for seed in range(200):
+        rm = _random_rm(rng, int(rng.integers(2, 12)), int(rng.integers(1, 80)))
+        outputs += [curveball_randomize(bench, seed=seed), curveball_randomize(rm, seed=seed),
+                    draw_classroom(np.random.default_rng(seed))[1]]
+    outputs += [curveball_randomize(bench, n_trades=0), curveball_randomize(_random_rm(rng, 1, 5))]
+    for rm in outputs:
+        # checked first: the public check makes an int8 input read-only itself
+        assert rm.entries.dtype == np.int8 and rm.entries.flags.c_contiguous
+        assert not rm.entries.flags.writeable
+        checked = RecallMatrix(rm.children, rm.entries)
+        assert checked.children == rm.children
+        assert checked.entries.tobytes() == rm.entries.tobytes()
+
+
+def test_public_constructor_still_checks():
+    with pytest.raises(DataError, match="0 or 1"):
+        RecallMatrix(("a", "b"), np.array([[1, 2], [0, 1]]))
+    with pytest.raises(DataError, match="name nobody"):
+        RecallMatrix(("a", "b"), np.array([[1, 0], [1, 0]]))
+    with pytest.raises(DataError, match="duplicate"):
+        RecallMatrix(("a", "a"), np.eye(2))
 
 
 def test_report_sampler_draws_conditional_poisson_subsets():

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import chain
 from operator import getitem
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,11 +44,6 @@ _UNIFORM_BATCH = 8192
 _CONCENTRATION_RANGE = (0.05, 1e4)
 # concentration of the Beta that child salience weights are drawn from
 _SALIENCE_CONCENTRATION = 5.0
-
-
-# _pool_tables' memo. Its tables only grow, and are replaced whole, never
-# updated in place, so a call that reads them sees complete tables.
-_pool_memo = SimpleNamespace(tables=())
 
 
 class InfeasibleProfileError(DataError):
@@ -197,22 +191,20 @@ def curveball_randomize(
     return RecallMatrix._unchecked(rm.children, entries.view(np.int8))
 
 
+@cache
 def _pool_tables(n_bytes: int) -> tuple:
     """Per-byte tables of column bits that cover rows of ``n_bytes`` bytes.
 
     Entry k, v lists the bits 1 << (8k + c) of the columns c set in byte
     value v at byte k, lowest first, each bit one int object shared by
-    that byte's 256 entries. Each byte's table is built once per process;
-    the tuple of them grows to the widest row asked for, and serves every
-    narrower row too, since ``map`` stops at the shorter of its inputs.
+    that byte's 256 entries. The tables are cached per byte offset, so
+    each is built once per process and every width shares it; threads that
+    ask at once for a table not yet cached may each build an equal copy.
     """
-    tables = _pool_memo.tables
-    if len(tables) < n_bytes:
-        tables += tuple(_byte_table(k) for k in range(len(tables), n_bytes))
-        _pool_memo.tables = tables
-    return tables
+    return tuple(map(_byte_table, range(n_bytes)))
 
 
+@cache
 def _byte_table(k: int) -> tuple:
     # for v < 2**c, entry v + 2**c is entry v with bit c, its highest, appended
     table = [()]
@@ -371,7 +363,7 @@ def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
     return RecallMatrix._unchecked(_child_names(n), entries)
 
 
-@lru_cache(maxsize=None)  # at most MAX_CHILDREN - 1 class sizes
+@cache  # at most MAX_CHILDREN - 1 class sizes
 def _child_names(n: int) -> tuple[str, ...]:
     return tuple(f"c{i + 1:02d}" for i in range(n))
 

@@ -117,7 +117,18 @@ def parse_reports(text: str) -> RecallMatrix:
 
 
 def to_report_lines(rm: RecallMatrix) -> str:
-    """Serialize to report-list text (inverse of :func:`parse_reports`)."""
+    """Serialize to report-list text (inverse of :func:`parse_reports`).
+
+    A child id that would parse back as another id raises ``DataError``:
+    one with a ``,`` or ``#``, a line boundary, or whitespace at either end.
+    """
+    for child in rm.children:
+        if ("," in child or "#" in child or child.splitlines() != [child]
+                or child.strip() != child):
+            raise DataError(
+                f"child id {child!r} cannot be written to report-list text:"
+                " it holds ',', '#' or a line boundary, or starts or ends with whitespace"
+            )
     lines = []
     for j in range(rm.n_reports):
         members = [rm.children[i] for i in np.flatnonzero(rm.entries[:, j])]

@@ -7,13 +7,14 @@ Seeds are fixed so the Monte Carlo criteria are deterministic.
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from peeraudit import communities, datasets, experiments, nullmodels
+from peeraudit import backbone, communities, datasets, experiments, nullmodels
 from peeraudit.backbone import fit_bicm, poisson_binomial_upper_tail
-from peeraudit.cli import main
+from peeraudit.cli import STUDIES, main
 from peeraudit.communities import maximize_modularity, modularity
 from peeraudit.recall import RecallMatrix, margins
 from peeraudit.scm import membership_statistic
@@ -251,19 +252,24 @@ def test_criterion_8_modularity_oracle():
     )
 
 
-# --- 9: byte-identical records at --threads 1 and 8 ----------------------
+# --- 9: byte-identical records at --threads 1 and 8 and across a split ---
 
 
 def test_criterion_9_thread_count_reproducibility(tmp_path, monkeypatch):
     def no_worker_thread(self):
         raise AssertionError("an audit started a worker thread")
 
+    def audit(null, method, n_trials, seed, rm):
+        # the first trial of each part fits its margins cold
+        monkeypatch.setattr(backbone._memo, "entry", None)
+        return experiments.audit(null, method, n_trials, seed, rm)[0]
+
     identical = True
-    for method, study, trials in (
-        ("scm-fifty", "2", 60),
-        ("becd", "2", 40),
-        ("scm-fifty", "4c", 40),
-        ("becd", "4c", 30),
+    for method, study, trials, split in (
+        ("scm-fifty", "2", 60, 23),
+        ("becd", "2", 40, 17),
+        ("scm-fifty", "4c", 40, 13),
+        ("becd", "4c", 30, 11),
     ):
         records = []
         for threads in (1, 8):
@@ -276,4 +282,14 @@ def test_criterion_9_thread_count_reproducibility(tmp_path, monkeypatch):
                 assert main(argv) == 0
             records.append((out / "records.csv").read_bytes())
         identical &= records[0] == records[1]
-    _verdict(9, identical, "records.csv byte-identical at --threads 1 vs 8")
+        # trials [0, split) and [split, trials) as two audits, renumbered
+        null = STUDIES[study][1]
+        rm = datasets.load_benchmark() if null == "shuffle" else None
+        whole = audit(null, method, trials, 7, rm)
+        parts = audit(null, method, split, 7, rm) + [
+            replace(r, trial=r.trial + split)
+            for r in audit(null, method, trials - split, 7 + split, rm)
+        ]
+        identical &= experiments.records_to_csv(whole) == experiments.records_to_csv(parts)
+    _verdict(9, identical,
+             "records.csv byte-identical at --threads 1 vs 8 and across a split of the trials")

@@ -1,9 +1,11 @@
 """Fixed-margin shuffles and the synthetic classroom generator."""
 
 import itertools
+import sys
+import threading
 import warnings
 from itertools import chain
-from operator import getitem
+from operator import getitem, is_
 
 import numpy as np
 import pytest
@@ -286,9 +288,50 @@ def test_curveball_matches_reference_across_row_widths():
     for seed in range(6):
         for rm in matrices:
             _assert_curveball_matches_reference(rm, None, seed)
-    # a narrower row after a wider one reads the tables already built
+    # every width reads the same table for a byte offset
     widest = nullmodels._pool_tables(126)
-    assert nullmodels._pool_tables(1) is widest and nullmodels._pool_tables(8) is widest
+    assert nullmodels._pool_tables(1)[0] is widest[0]
+    narrow = nullmodels._pool_tables(8)
+    assert len(narrow) == 8 and all(map(is_, narrow, widest))
+
+
+def test_pool_tables_first_built_by_threads_at_once():
+    # four threads start on empty caches, each with another width first,
+    # so tables are built and cached while other threads read them
+    rng = np.random.default_rng(25)
+    matrices = [_random_rm(rng, 5, 3), load_benchmark(),
+                generate_classroom(ClassroomProfile(40, 200, 0.25, 0.5, 0.5), seed=25),
+                _random_rm(rng, 30, 1001, density=0.02)]
+    assert [(rm.n_reports + 7) // 8 for rm in matrices] == [1, 8, 25, 126]
+    expected = {(t, i): curveball_randomize(rm, seed=10 * t + i).entries.tobytes()
+                for t in range(4) for i, rm in enumerate(matrices)}
+
+    def work(t):
+        start.wait()
+        for i in [(t + k) % 4 for k in range(4)]:
+            got[t, i] = curveball_randomize(matrices[i], seed=10 * t + i).entries.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            nullmodels._pool_tables.cache_clear()
+            nullmodels._byte_table.cache_clear()
+            got = {}
+            start = threading.Barrier(4, timeout=60)
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == expected
+    finally:
+        sys.setswitchinterval(interval)
+        # threads that race to a table may each cache a copy; later tests
+        # start from tables built by one thread
+        nullmodels._pool_tables.cache_clear()
+        nullmodels._byte_table.cache_clear()
 
 
 def _all_matrices(row_sums, col_sums):

@@ -1,5 +1,7 @@
 """Recall-matrix ingestion and validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,16 @@ def test_report_roundtrip_identity():
     again = parse_reports(to_report_lines(rm))
     assert again.children == rm.children
     assert (again.entries == rm.entries).all()
+
+
+def test_report_lines_reject_ids_that_parse_back_differently():
+    entries = np.array([[1, 0], [1, 1]], dtype=np.int8)
+    for child in ["a,b", "a#x", " a", "a\nb", "a\r", "a\x0bb", "a\u2028b", "a\t"]:
+        with pytest.raises(DataError, match=re.escape(repr(child))):
+            to_report_lines(RecallMatrix((child, "c"), entries))
+    # inner whitespace survives the round trip
+    rm = RecallMatrix(("ana b", "c"), entries)
+    assert parse_reports(to_report_lines(rm)).children == rm.children
 
 
 def test_load_reports_from_file(tmp_path):

@@ -14,7 +14,7 @@ corrections) on a copy of the checkout's benchmark report file; and
 fixed ``--profile``, for 50 trials, and again with a second profile of 15
 children, 200 reports and nomination probability 0.9
 (``profile_rest.json``), on which most reports end by taking every child
-left. Four more classrooms have report files that the script writes from
+left. Five more classrooms have report files that the script writes from
 fixed seeds, the same bytes for both sides: a 40 x 200 one
 (``wide.txt``), on which ``simulate --mode shuffle`` covers rows of 25
 bytes as well as the benchmark's 8, ``becd`` runs with both corrections
@@ -25,7 +25,10 @@ binomial block over every report; a 32 x 173 one whose reports name 1 to
 beside many steps; and a 40 x 120 one whose reports each name children of
 one of four blocks of 10 (``blocks.txt``), whose dense peer network sends
 ``scm --rule fifty`` down its lockstep first pass, and on which ``scm``
-runs with both rules. Each command's exit code, stdout and stderr are
+runs with both rules. A fifth, 100 x 300 with reports in ten blocks of 10
+(``blocks_wide.txt``), ties all 100 children by 450 edges, so its
+lockstep pass holds each set in two 64-bit words; ``scm`` runs on it with
+both rules too. Each command's exit code, stdout and stderr are
 compared with its files. Every file that differs or exists on one side
 only, and every command that exits nonzero, is printed; for a CSV file of
 equal shape, so are the number of cells that differ and the largest
@@ -55,12 +58,13 @@ PROFILE_REST = {"n_children": 15, "n_reports": 200, "nomination_probability": 0.
 SIMULATE_TRIALS = "50"
 # children, reports, smallest and largest report, seed and number of blocks
 # of the classrooms the script writes: the wide one, one whose reports have
-# one size, one whose reports have many, and one whose reports each stay
-# within one block of the roster
+# one size, one whose reports have many, and two whose reports each stay
+# within one block of the roster, the second wider than one 64-bit word
 WIDE_CLASS = (40, 200, 2, 12, 21)
 ONE_SIZE_CLASS = (30, 120, 5, 5, 22)
 MANY_SIZES_CLASS = (32, 173, 1, 20, 24)
 BLOCK_CLASS = (40, 120, 4, 8, 23, 4)
+WIDE_BLOCK_CLASS = (100, 300, 4, 8, 25, 10)
 
 
 def class_reports(n_children: int, n_reports: int, smallest: int, largest: int, seed: int,
@@ -94,6 +98,7 @@ def commands(trials: int, seeds: list[int]):
             yield run(f"scm-{rule}", "scm", "reports.txt", "--rule", rule)
             yield run(f"scm-wide-{rule}", "scm", "wide.txt", "--rule", rule)
             yield run(f"scm-blocks-{rule}", "scm", "blocks.txt", "--rule", rule)
+            yield run(f"scm-blocks-wide-{rule}", "scm", "blocks_wide.txt", "--rule", rule)
         for correction in ("none", "holm"):
             yield run(f"becd-{correction}", "becd", "reports.txt", "--correction", correction)
             yield run(f"becd-wide-{correction}", "becd", "wide.txt", "--correction", correction)
@@ -177,7 +182,8 @@ def main(argv=None) -> int:
     inputs = {"wide.txt": class_reports(*WIDE_CLASS),
               "one_size.txt": class_reports(*ONE_SIZE_CLASS),
               "many_sizes.txt": class_reports(*MANY_SIZES_CLASS),
-              "blocks.txt": class_reports(*BLOCK_CLASS)}
+              "blocks.txt": class_reports(*BLOCK_CLASS),
+              "blocks_wide.txt": class_reports(*WIDE_BLOCK_CLASS)}
     with tempfile.TemporaryDirectory() as tmp:
         sides = [pathlib.Path(tmp, "parent"), pathlib.Path(tmp, "change")]
         # each side runs its commands one after another, the sides in parallel

@@ -32,19 +32,30 @@ import numpy as np
 BACKEND = "python"
 
 
-def bitset_rows(matrix) -> list[int]:
-    """Row i as a Python int whose bit c is set when matrix[i, c] != 0.
-
-    Rows of at most 64 columns are read as one little-endian uint64 each,
-    all in one ``tolist``; wider rows one ``int.from_bytes`` each.
-    """
+def bitset_words(matrix) -> np.ndarray:
+    """Row i as n_words little-endian uint64 words, a (rows, n_words)
+    array: bit c % 64 of word c // 64 is set when matrix[i, c] != 0.
+    There is at least one word, so a matrix of no columns gives zeros."""
     packed = np.packbits(np.asarray(matrix) != 0, axis=1, bitorder="little")
     rows, width = packed.shape
-    if width <= 8:
-        words = np.zeros((rows, 8), dtype=np.uint8)
-        words[:, :width] = packed
-        return words.view("<u8").ravel().tolist()
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    words = np.zeros((rows, 8 * max(1, -(-width // 8))), dtype=np.uint8)
+    words[:, :width] = packed
+    return words.view("<u8")
+
+
+def word_ints(words: np.ndarray) -> list[int]:
+    """Each row of a (rows, n_words) array of uint64 words as one Python
+    int, word 0 lowest: one ``tolist`` for one word, else one
+    ``int.from_bytes`` a row."""
+    if words.shape[1] == 1:
+        return words.ravel().tolist()
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.ascontiguousarray(words, dtype="<u8")]
+
+
+def bitset_rows(matrix) -> list[int]:
+    """Row i as a Python int whose bit c is set when matrix[i, c] != 0."""
+    return word_ints(bitset_words(matrix))
 
 
 def survival_table(probs: np.ndarray, width: int, block: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from operator import getitem
 import numpy as np
 
 from ._kernels import bitset_rows
-from .recall import DataError, RecallMatrix
+from .recall import MAX_CHILDREN, MAX_REPORTS, DataError, RecallMatrix
 
 # Ranges of the profiles that sample_profile draws uniformly. The largest
 # mean report size they allow, 0.45 * 40 = 18, is below the generator's
@@ -31,9 +31,6 @@ PROFILE_BOUNDS = {
 }
 
 MAX_REPORT_SIZE = 20
-# upper bounds on a profile's counts; the recall matrix stays within 10 MB
-MAX_CHILDREN = 1000
-MAX_REPORTS = 10_000
 # largest |nomination_skew|. At +10 the salience Beta's first shape is
 # 0.024, and a weight underflows to 0 with probability about 2e-8; at +30
 # (0.0027) a two-child class draws only zeros on 49 of 3000 seeds, and its

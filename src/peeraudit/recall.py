@@ -17,6 +17,10 @@ import numpy as np
 SCM_MAX_REPORTS = 2000
 SCM_MAX_CHILDREN = 400
 SCM_MAX_REPORT_SIZE = 20
+# the largest classroom parse_reports accepts, and the bounds of a generated
+# classroom's counts: its int8 recall matrix stays within 10 MB
+MAX_CHILDREN = 1000
+MAX_REPORTS = 10_000
 
 
 class DataError(ValueError):
@@ -85,7 +89,9 @@ def parse_reports(text: str) -> RecallMatrix:
     """Parse report-list text: one report per line, members comma-separated.
 
     ``#`` starts a comment; blank (or comment-only) lines are skipped.
-    Children are ordered by first appearance.
+    Children are ordered by first appearance. More than ``MAX_CHILDREN``
+    children or ``MAX_REPORTS`` reports raise ``DataError`` as soon as the
+    parse passes the limit, before the matrix is made.
     """
     children: list[str] = []
     index: dict[str, int] = {}
@@ -97,6 +103,9 @@ def parse_reports(text: str) -> RecallMatrix:
         tokens = [t.strip() for t in line.split(",")]
         if any(not t for t in tokens):
             raise DataError(f"line {lineno}: empty member token")
+        if len(reports) == MAX_REPORTS:
+            raise DataError(f"line {lineno}: more than {MAX_REPORTS} reports,"
+                            " the largest classroom accepted")
         seen_here = set()
         cols = []
         for tok in tokens:
@@ -104,6 +113,9 @@ def parse_reports(text: str) -> RecallMatrix:
                 raise DataError(f"line {lineno}: duplicate member {tok!r}")
             seen_here.add(tok)
             if tok not in index:
+                if len(children) == MAX_CHILDREN:
+                    raise DataError(f"line {lineno}: more than {MAX_CHILDREN} children,"
+                                    " the largest classroom accepted")
                 index[tok] = len(children)
                 children.append(tok)
             cols.append(index[tok])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bitset_rows
+from ._kernels import bitset_rows, bitset_words, word_ints
 from .recall import RecallMatrix
 
 DEFAULT_THRESHOLD = 0.4
@@ -114,11 +114,8 @@ def _check_peer_network(net, children: tuple[str, ...]) -> np.ndarray:
     return net
 
 
-# the lockstep first pass holds at most this many (seed, vertex) cells at once
+# the lockstep first pass runs at most this many (seed, vertex) cells at once
 LOCKSTEP_CELLS = 1 << 18
-# added to a vertex's cell in the lockstep array when it becomes a member:
-# the cell stays negative, below any group size, for the rest of the pass
-_MEMBER = -(1 << 30)
 
 
 def _grow_pass(nb: list[int], members: int, reach: int, size: int) -> tuple[int, int, int]:
@@ -153,30 +150,77 @@ def _first_passes_lockstep(a: np.ndarray):
 
     ``a`` is the network among the tied vertices, in visit order; its
     seeds, in the order of u, then v, are ``np.nonzero(np.triu(a, 1))``.
-    Row i of the array holds twice the ties of each vertex into seed i's
-    group, or a large negative number for a member, so one NumPy step per
-    vertex, in visit order, lets every seed whose group the vertex can
-    join take it in. Seeds run in blocks of at most ``LOCKSTEP_CELLS``
-    cells.
+    Each seed's members and reach (the vertices tied to a member) are
+    bitsets of 64-bit words, one vector entry per seed, so one step per
+    vertex, in visit order, takes a popcount of each seed's ties to the
+    vertex and lets every seed whose group it can join take it in. Seeds
+    run in blocks of at most ``LOCKSTEP_CELLS`` (seed, vertex) cells.
     """
     tied = a.shape[0]
     us, vs = np.nonzero(np.triu(a, 1))
-    # row c: what vertex c adds to a row when it joins; its own cell marks it
-    joined = 2 * a.astype(np.int32)
-    np.fill_diagonal(joined, _MEMBER)
+    nb = bitset_words(a)
+    bit = bitset_words(np.eye(tied, dtype=bool))  # row c: vertex c alone
+    passes = _one_word_passes if nb.shape[1] == 1 else _word_passes
     rows = max(1, LOCKSTEP_CELLS // tied)
     for lo in range(0, len(us), rows):
-        u, v = us[lo:lo + rows], vs[lo:lo + rows]
-        t2 = joined[u] + joined[v]
-        size = np.full(len(u), 2, dtype=np.int32)
-        for c in range(tied):
-            joins = np.flatnonzero(t2[:, c] >= size)
-            if joins.size:
-                t2[joins] += joined[c]
-                size[joins] += 1
-        # members are the negative cells, the outsiders tied to the group
-        # (its reach) the positive ones
-        yield from zip(bitset_rows(t2 < 0), bitset_rows(t2 > 0), size.tolist())
+        members, reach, size = passes(nb, bit, us[lo:lo + rows], vs[lo:lo + rows])
+        yield from zip(word_ints(members), word_ints(reach & ~members), size.tolist())
+
+
+def _one_word_passes(nb, bit, u, v):
+    """(members, reach, size) after the first pass of the seeds (u, v),
+    for sets of one word; ``nb`` and ``bit`` are (tied, 1) words, the
+    neighbours of each vertex and the vertex itself. Members and reach
+    come back as (seeds, 1) words."""
+    nb, bit = nb[:, 0], bit[:, 0]
+    members = bit[u] | bit[v]
+    reach = nb[u] | nb[v]
+    size = np.bitwise_count(members)
+    shared, twice, join = np.empty_like(members), np.empty_like(size), np.empty(len(u), bool)
+    for nbc, bitc in zip(nb, bit):
+        np.bitwise_and(members, nbc, out=shared)
+        np.bitwise_count(shared, out=twice)
+        np.add(twice, twice, out=twice)
+        np.greater_equal(twice, size, out=join)
+        np.bitwise_or(members, bitc, out=members, where=join)
+        np.bitwise_or(reach, nbc, out=reach, where=join)
+        # a pair member that "joins" again sets no new bit
+        np.bitwise_count(members, out=size)
+    return members[:, None], reach[:, None], size
+
+
+def _word_passes(nb, bit, u, v):
+    """``_one_word_passes`` for sets of several words. Word w of every
+    seed's set is one contiguous row, and a vertex's ties are summed word
+    by word over the words that hold its neighbours."""
+    tied = len(nb)
+    members = (bit[u] | bit[v]).T.copy()
+    reach = (nb[u] | nb[v]).T.copy()
+    size = np.full(len(u), 2, dtype=np.int32)
+    # the seeds whose pair holds c, whose size must not count c again: a
+    # run of the sorted u, and a run of v's argsort
+    u_runs = np.searchsorted(u, np.arange(tied + 1)).tolist()
+    by_v = np.argsort(v, kind="stable")
+    v_runs = np.searchsorted(v[by_v], np.arange(tied + 1)).tolist()
+    shared, count = np.empty(len(u), np.uint64), np.empty(len(u), np.uint8)
+    twice, join = np.empty(len(u), np.int32), np.empty(len(u), bool)
+    for c, nbc in enumerate(nb):
+        words = np.flatnonzero(nbc).tolist()
+        twice.fill(0)
+        for w in words:
+            np.bitwise_and(members[w], nbc[w], out=shared)
+            np.bitwise_count(shared, out=count)
+            np.add(twice, count, out=twice)
+        np.add(twice, twice, out=twice)
+        np.greater_equal(twice, size, out=join)
+        join[u_runs[c]:u_runs[c + 1]] = False
+        join[by_v[v_runs[c]:v_runs[c + 1]]] = False
+        w = c >> 6
+        np.bitwise_or(members[w], bit[c, w], out=members[w], where=join)
+        for w in words:
+            np.bitwise_or(reach[w], nbc[w], out=reach[w], where=join)
+        np.add(size, join, out=size)
+    return members.T, reach.T, size
 
 
 def identify_groups_fifty_percent(
@@ -210,10 +254,13 @@ def identify_groups_fifty_percent(
     and the groups returned are those of growing every seed.
 
     When the seeds number more than twice the tied vertices, every
-    seed's first pass runs at once, one NumPy step per tied vertex in
-    visit order (``_first_passes_lockstep``), in blocks of at most
+    seed's first pass runs at once (``_first_passes_lockstep``): each
+    seed's members and reach are bitsets of 64-bit words, one NumPy
+    vector entry per seed, and each tied vertex, in visit order, takes
+    one step of a few whole-vector calls, a popcount of every seed's
+    ties to it among them. Seeds run in blocks of at most
     ``LOCKSTEP_CELLS`` (seed, vertex) cells, so memory stays bounded at
-    any class size. On sparser networks two NumPy calls per vertex cost
+    any class size. On sparser networks the NumPy calls per vertex cost
     more than the popcounts they save, and each seed's first pass starts
     from its pair. Either way each seed then goes on, in seed order, from
     its members after the first pass.

@@ -152,6 +152,20 @@ def test_simulate_oversize_profile_is_data_error(tmp_path, capsys, monkeypatch, 
     assert err.startswith("data error:") and key in err
 
 
+@pytest.mark.parametrize("text, limit", [
+    (",".join(f"c{i}" for i in range(1001)) + "\n", "1000 children"),
+    ("a,b\n" * 10_001, "10000 reports"),
+])
+def test_scm_past_the_parse_limits_is_data_error(tmp_path, capsys, text, limit):
+    reports = tmp_path / "reports.txt"
+    reports.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "scm", str(reports)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and limit in err
+    assert not out.exists()
+
+
 BENCHMARK_REPORTS = pathlib.Path(peeraudit.__file__).parent / "data" / "benchmark_reports.txt"
 
 

@@ -5,7 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from peeraudit import nullmodels
 from peeraudit.recall import (
+    MAX_CHILDREN,
+    MAX_REPORTS,
     DataError,
     RecallMatrix,
     drop_never_named,
@@ -102,6 +105,29 @@ def test_validate_scm_limits_children_boundary():
     warnings = validate_scm_limits(rm)
     assert len(warnings) == 2  # 401 children and a 401-member report
     assert any("children" in w for w in warnings)
+
+
+def test_parse_reports_accepts_classrooms_at_the_limits():
+    rm = parse_reports(",".join(f"c{i}" for i in range(MAX_CHILDREN)) + "\n")
+    assert rm.n_children == MAX_CHILDREN
+    # the SCM 4.0 limits stay warnings
+    assert any("children" in w for w in validate_scm_limits(rm))
+    rm = parse_reports("a,b\n" * MAX_REPORTS)
+    assert rm.n_reports == MAX_REPORTS
+    assert any("reports" in w for w in validate_scm_limits(rm))
+    assert (nullmodels.MAX_CHILDREN, nullmodels.MAX_REPORTS) == (MAX_CHILDREN, MAX_REPORTS)
+
+
+@pytest.mark.parametrize("text, limit", [
+    (",".join(f"c{i}" for i in range(1001)) + "\n", "1000 children"),
+    ("a,b\n" * 10_001, "10000 reports"),
+])
+def test_parse_reports_rejects_classrooms_past_the_limits(text, limit):
+    with pytest.raises(DataError, match=limit):
+        parse_reports(text)
+    # raised while parsing: a malformed line after the limit is never read
+    with pytest.raises(DataError, match=limit):
+        parse_reports(text + "a,,b\n")
 
 
 def test_validate_scm_limits_report_size_boundary():

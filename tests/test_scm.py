@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from peeraudit import scm
-from peeraudit._kernels import bitset_rows
+from peeraudit._kernels import bitset_rows, bitset_words
 from peeraudit.datasets import load_benchmark
 from peeraudit.nullmodels import curveball_randomize, draw_classroom
 from peeraudit.recall import RecallMatrix, parse_reports
@@ -361,6 +361,40 @@ def test_lockstep_first_passes_equal_the_passes_from_each_pair():
             assert len(lockstep) == edges
 
 
+def _wide_networks():
+    """Networks of 63, 64, 65, 127, 128 and 129 tied vertices, on both sides
+    of one and two 64-bit words: a clique, a block classroom (blocks of 8
+    at density 0.8, 0.01 between blocks, every vertex tied) and a random
+    network at density 0.3, each taking the lockstep first pass."""
+    rng = np.random.default_rng(26)
+    nets = []
+    for n in (63, 64, 65, 127, 128, 129):
+        block = np.arange(n) // 8
+        blocks = np.triu(rng.random((n, n)) < np.where(block[:, None] == block, 0.8, 0.01), 1)
+        blocks = (blocks | blocks.T).astype(np.int8)
+        nets += [1 - np.eye(n, dtype=np.int8), blocks, _random_network(rng, n, 0.3)]
+    return nets
+
+
+def test_lockstep_first_passes_on_sets_of_several_words():
+    for net in _wide_networks():
+        a, tied, edges = _visit_order(net)
+        assert tied == len(net) and edges > 2 * tied
+        lockstep = list(scm._first_passes_lockstep(a))
+        assert lockstep == list(scm._first_passes(bitset_rows(a)))
+        assert len(lockstep) == edges
+
+
+def test_fifty_matches_reference_on_wide_networks():
+    nets = _wide_networks()
+    for clique, blocks, random in zip(nets[::3], nets[1::3], nets[2::3]):
+        names = _names(len(clique))
+        # growing every seed of a clique takes the reference seconds
+        assert identify_groups_fifty_percent(clique, names).groups == (frozenset(names),)
+        for net in (blocks, random):
+            assert identify_groups_fifty_percent(net, names) == _fifty_reference(net, names)
+
+
 def test_lockstep_blocks_give_the_same_groups(monkeypatch):
     # the lockstep networks of up to 16 children: a block of one seed costs
     # a NumPy step per tied vertex
@@ -381,6 +415,18 @@ def test_lockstep_blocks_give_the_same_groups(monkeypatch):
         monkeypatch.setattr(scm, "LOCKSTEP_CELLS", tied - 1)
         assert identify_groups_fifty_percent(net, names) == expected
     assert checked >= 20
+
+
+def test_lockstep_blocks_of_several_words_give_the_same_groups(monkeypatch):
+    # the block classroom of 65 vertices, two words a set
+    net = _wide_networks()[7]
+    _, tied, edges = _visit_order(net)
+    assert tied == 65
+    names = _names(tied)
+    expected = _fifty_reference(net, names)
+    for cells in (tied, 2 * tied, (edges - 1) * tied, tied - 1):
+        monkeypatch.setattr(scm, "LOCKSTEP_CELLS", cells)
+        assert identify_groups_fifty_percent(net, names) == expected
 
 
 @pytest.mark.parametrize("net, message", [
@@ -445,6 +491,9 @@ def test_bitset_rows_set_the_nonzero_columns():
         matrix = (rng.random((n, m)) < 0.4) * rng.integers(1, 4, size=(n, m))
         expected = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in matrix]
         assert bitset_rows(matrix) == expected
+        words = bitset_words(matrix)
+        assert words.dtype == np.dtype("<u8") and words.shape == (n, max(1, -(-m // 64)))
+        assert [sum(int(x) << 64 * w for w, x in enumerate(row)) for row in words] == expected
         assert bitset_rows(matrix.astype(float)) == expected
 
 

@@ -362,10 +362,11 @@ def test_lockstep_first_passes_equal_the_passes_from_each_pair():
 
 
 def _wide_networks():
-    """Networks of 63, 64, 65, 127, 128 and 129 tied vertices, on both sides
-    of one and two 64-bit words: a clique, a block classroom (blocks of 8
-    at density 0.8, 0.01 between blocks, every vertex tied) and a random
-    network at density 0.3, each taking the lockstep first pass."""
+    """Networks of 63, 64, 65, 127, 128 and 129 tied vertices, either side
+    of 64 and 128, where a set takes one more 64-bit word: a clique, a
+    block classroom (blocks of 8 at density 0.8, 0.01 between blocks,
+    every vertex tied) and a random network at density 0.3, each taking
+    the lockstep first pass."""
     rng = np.random.default_rng(26)
     nets = []
     for n in (63, 64, 65, 127, 128, 129):

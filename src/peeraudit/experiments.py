@@ -134,7 +134,12 @@ def audit(null, method: str, n_trials: int = 1, seed: int = 0, rm: RecallMatrix 
           ) -> tuple[list[RunRecord], AuditSummary]:
     """One pipeline run on each classroom of ``nullmodels.null_draws(null,
     rm)``; trial t analyzes the classroom of seed ``seed + t``, and its
-    record's source is ``null``, or "benchmark" when ``null`` is None."""
+    record's source is ``null``, or "benchmark" when ``null`` is None.
+    An unknown ``method`` or null model, or a missing ``rm`` where the
+    null model needs one, raises ``ValueError`` before any classroom is
+    drawn."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     draw = nullmodels.null_draws(null, rm)
     source = null or "benchmark"
     # a shuffle keeps ``rm``'s margins, so its record is ``rm``'s but for index and P

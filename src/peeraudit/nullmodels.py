@@ -96,13 +96,14 @@ def skewness(x) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.size < 3:
         raise ValueError("skewness needs at least 3 values")
-    if np.ptp(x) == 0:
+    if x.max() - x.min() == 0:
         raise ValueError("skewness undefined for a constant vector")
     n = x.size
-    d = x - x.mean()
+    # the arithmetic of .mean() and np.ptp, without their wrappers
+    d = x - np.add.reduce(x, axis=None) / n
     d2 = d * d
-    m2 = d2.mean()
-    m3 = (d2 * d).mean()
+    m2 = np.add.reduce(d2, axis=None) / n
+    m3 = np.add.reduce(d2 * d, axis=None) / n
     return float(((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5)
 
 
@@ -384,7 +385,10 @@ def null_draws(null, rm: RecallMatrix | None = None, profile: ClassroomProfile |
     (classroom, generator profile or None): ``"shuffle"`` maps it to
     ``curveball_randomize(rm, seed=seed)``, ``"generate"`` to
     ``draw_classroom(default_rng(seed), profile)`` (a profile drawn per
-    seed when ``profile`` is None), and ``None`` to ``rm`` itself."""
+    seed when ``profile`` is None), and ``None`` to ``rm`` itself.
+    ``"shuffle"`` and ``None`` without an ``rm`` raise ``ValueError``."""
+    if null in ("shuffle", None) and rm is None:
+        raise ValueError(f"null model {null!r} needs a recall matrix rm")
     if null == "shuffle":
         return lambda seed: (curveball_randomize(rm, seed=seed), None)
     if null == "generate":

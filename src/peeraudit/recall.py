@@ -68,7 +68,8 @@ class RecallMatrix:
 
         For null draws, which write a C-contiguous int8 matrix of 0/1 cells
         with no empty column themselves, for children that are distinct and
-        nonempty. The entries are made read-only, as on the checked path.
+        nonempty, and for ``drop_never_named``'s rows of a checked matrix.
+        The entries are made read-only, as on the checked path.
         """
         entries.setflags(write=False)
         rm = object.__new__(cls)
@@ -187,7 +188,9 @@ def drop_never_named(rm: RecallMatrix) -> tuple[RecallMatrix, list[str]]:
     if not dropped:
         return rm, []
     kept = tuple(c for c, k in zip(rm.children, keep) if k)
-    return RecallMatrix(kept, rm.entries[keep]), dropped
+    # dropping all-zero rows keeps the checked matrix's cells, distinct ids
+    # and nonempty columns
+    return RecallMatrix._unchecked(kept, rm.entries[keep]), dropped
 
 
 def margins(rm: RecallMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -65,18 +65,34 @@ def similarity(cooc: np.ndarray) -> np.ndarray:
     with zero variance get similarity 0 against everything, so a child
     with a constant profile can never acquire edges. Whole columns are
     correlated, diagonal included.
+
+    The correlations are ``np.corrcoef(c[:, ok], rowvar=False)``'s own
+    arithmetic, bit for bit, without its wrappers: centre each varying
+    column, take the symmetric product that BLAS gives ``np.cov``, scale
+    by 1 / (n - 1), and divide by the standard deviations from its
+    diagonal, rows first, then columns.
     """
     c = np.asarray(cooc, dtype=np.float64)
     n = c.shape[0]
-    sd = c.std(axis=0)
-    ok = sd > 0
-    s = np.zeros((n, n))
-    if ok.any():
-        sub = np.corrcoef(c[:, ok], rowvar=False)
-        sub = np.atleast_2d(sub)
+    # a column varies iff an entry differs from its first: exact for counts
+    ok = (c != c[:1]).any(axis=0)
+    if not ok.any():
+        return np.zeros((n, n))
+    x = c[:, ok].T.copy()
+    x -= x.mean(axis=1)[:, None]
+    cc = np.dot(x, x.T)  # x.T a view: BLAS takes np.cov's symmetric product
+    cc *= np.true_divide(1, n - 1)
+    sd = np.sqrt(np.diag(cc))
+    cc /= sd[:, None]
+    cc /= sd[None, :]
+    np.clip(cc, -1, 1, out=cc)
+    if ok.all():
+        s = cc
+    else:
+        s = np.zeros((n, n))
         idx = np.flatnonzero(ok)
-        s[np.ix_(idx, idx)] = sub
-    np.fill_diagonal(s, np.where(ok, 1.0, 0.0))
+        s[np.ix_(idx, idx)] = cc
+    np.fill_diagonal(s, ok)
     # corrcoef's triangles can differ in the last bit; thresholds need s == s.T
     return np.where(np.tri(n, k=-1, dtype=bool), s.T, s)
 
@@ -146,7 +162,8 @@ def _first_passes(nb: list[int]):
 
 
 def _first_passes_lockstep(a: np.ndarray):
-    """What ``_first_passes`` yields, with the seeds' passes run together.
+    """What ``_first_passes`` yields, with the seeds' passes run together,
+    and each distinct member set only once, in the order of its first seed.
 
     ``a`` is the network among the tied vertices, in visit order; its
     seeds, in the order of u, then v, are ``np.nonzero(np.triu(a, 1))``.
@@ -155,6 +172,9 @@ def _first_passes_lockstep(a: np.ndarray):
     vertex, in visit order, takes a popcount of each seed's ties to the
     vertex and lets every seed whose group it can join take it in. Seeds
     run in blocks of at most ``LOCKSTEP_CELLS`` (seed, vertex) cells.
+
+    A pass's reach and size are functions of its members, so a repeated
+    set is a repeated triple.
     """
     tied = a.shape[0]
     us, vs = np.nonzero(np.triu(a, 1))
@@ -162,9 +182,17 @@ def _first_passes_lockstep(a: np.ndarray):
     bit = bitset_words(np.eye(tied, dtype=bool))  # row c: vertex c alone
     passes = _one_word_passes if nb.shape[1] == 1 else _word_passes
     rows = max(1, LOCKSTEP_CELLS // tied)
+    seen: set[int] = set()  # the member sets yielded by earlier blocks
     for lo in range(0, len(us), rows):
         members, reach, size = passes(nb, bit, us[lo:lo + rows], vs[lo:lo + rows])
-        yield from zip(word_ints(members), word_ints(reach & ~members), size.tolist())
+        _, first = (np.unique(members[:, 0], return_index=True) if nb.shape[1] == 1
+                    else np.unique(members, axis=0, return_index=True))
+        first.sort()
+        members, reach = members[first], reach[first]
+        for out in zip(word_ints(members), word_ints(reach & ~members), size[first].tolist()):
+            if out[0] not in seen:
+                seen.add(out[0])
+                yield out
 
 
 def _one_word_passes(nb, bit, u, v):
@@ -263,7 +291,9 @@ def identify_groups_fifty_percent(
     any class size. On sparser networks the NumPy calls per vertex cost
     more than the popcounts they save, and each seed's first pass starts
     from its pair. Either way each seed then goes on, in seed order, from
-    its members after the first pass.
+    its members after the first pass; the lockstep yields each distinct
+    set once, for the first seed that reached it. A later seed with the
+    same set would grow into the same group, which is already held.
 
     Growth is memoized on the member set at the start of each pass. At
     that point the outsiders tied to the group are exactly the
@@ -280,7 +310,7 @@ def identify_groups_fifty_percent(
     net = _check_peer_network(net, children) != 0
     n = net.shape[0]
     deg = net.sum(axis=1)
-    order = sorted(range(n), key=lambda i: (-deg[i], i))
+    order = np.argsort(-deg, kind="stable").tolist()
     # row r, column s: the vertices r-th and s-th in the visit order are tied
     a = net[np.ix_(order, order)]
     nb = bitset_rows(a)

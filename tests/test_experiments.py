@@ -168,6 +168,24 @@ def test_run_pipeline_unknown_method():
         run_pipeline(rm, "kmeans")
 
 
+@pytest.mark.parametrize("null, method, rm, message", [
+    ("generate", "kmeans", None, r"^unknown method 'kmeans'"),
+    ("shuffle", "scm-fifty-two", "bench", r"^unknown method 'scm-fifty-two'"),
+    ("shuffle", "scm-fifty", None, r"^null model 'shuffle' needs a recall matrix rm"),
+    (None, "becd", None, r"^null model None needs a recall matrix rm"),
+    ("bicm", "scm-fifty", "bench", r"^unknown null model 'bicm'"),
+])
+def test_audit_checks_its_inputs_before_the_first_draw(monkeypatch, null, method, rm, message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a classroom was drawn")
+
+    monkeypatch.setattr(experiments.nullmodels, "draw_classroom", no_draw)
+    monkeypatch.setattr(experiments.nullmodels, "curveball_randomize", no_draw)
+    rm = datasets.load_benchmark() if rm == "bench" else None
+    with pytest.raises(ValueError, match=message):
+        audit(null, method, 3, 0, rm)
+
+
 def _relabelled_classroom(seed):
     """``draw_classroom``'s classroom for ``seed``, the same matrix with its
     reports permuted, and the same with its children relabelled (rows and

@@ -85,6 +85,39 @@ def test_skewness_matches_scipy_on_classroom_margins():
     assert checked > 600
 
 
+def _skewness_reference(x) -> float:
+    """``skewness`` through ``.mean()`` and ``np.ptp``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size < 3:
+        raise ValueError("skewness needs at least 3 values")
+    if np.ptp(x) == 0:
+        raise ValueError("skewness undefined for a constant vector")
+    n = x.size
+    d = x - x.mean()
+    d2 = d * d
+    m2 = d2.mean()
+    m3 = (d2 * d).mean()
+    return float(((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5)
+
+
+def test_skewness_equals_the_reference_bit_for_bit():
+    margins_ = [[3, 3, 3], [0.1, 0.1, 0.1, 0.1], [1, 2], [2, 0, 5, 1]]
+    for seed in range(300):
+        rm = draw_classroom(np.random.default_rng(seed))[1]
+        margins_ += [rm.entries.sum(axis=1), rm.entries.sum(axis=0)]
+    raised = 0
+    for margin in margins_:
+        try:
+            expected = _skewness_reference(margin)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                skewness(margin)
+            raised += 1
+            continue
+        assert np.float64(skewness(margin)).tobytes() == np.float64(expected).tobytes()
+    assert raised >= 3
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(st.floats(-100, 100), min_size=3, max_size=20),

@@ -1,6 +1,7 @@
 """Recall-matrix ingestion and validation."""
 
 import re
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ def test_drop_never_named():
     assert kept.children == ("b", "d")
     # column sums untouched
     assert (kept.entries.sum(axis=0) == rm.entries.sum(axis=0)).all()
+
+
+def test_drop_never_named_equals_the_checked_matrix():
+    dropping = 0
+    for seed in range(100):
+        rm = nullmodels.draw_classroom(np.random.default_rng(seed))[1]
+        kept, dropped = drop_never_named(rm)
+        dropping += bool(dropped)
+        named = rm.entries.any(axis=1)
+        checked = RecallMatrix(tuple(compress(rm.children, named)), rm.entries[named])
+        assert kept.children == checked.children
+        assert np.array_equal(kept.entries, checked.entries)
+        assert kept.entries.dtype == checked.entries.dtype
+        assert kept.entries.flags.writeable == checked.entries.flags.writeable
+        assert kept.entries.flags.c_contiguous
+    assert dropping >= 10
 
 
 def test_drop_never_named_identity():

@@ -140,6 +140,37 @@ def test_similarity_exactly_symmetric():
         assert (s == s.T).all()
 
 
+def _similarity_reference(cooc):
+    """``similarity`` through ``np.corrcoef``."""
+    c = np.asarray(cooc, dtype=np.float64)
+    n = c.shape[0]
+    sd = c.std(axis=0)
+    ok = sd > 0
+    s = np.zeros((n, n))
+    if ok.any():
+        sub = np.corrcoef(c[:, ok], rowvar=False)
+        sub = np.atleast_2d(sub)
+        idx = np.flatnonzero(ok)
+        s[np.ix_(idx, idx)] = sub
+    np.fill_diagonal(s, np.where(ok, 1.0, 0.0))
+    # corrcoef's triangles can differ in the last bit; thresholds need s == s.T
+    return np.where(np.tri(n, k=-1, dtype=bool), s.T, s)
+
+
+def test_similarity_equals_corrcoef_bit_for_bit():
+    coocs = [cooccurrence(rm) for rm in _pipeline_classrooms(300, 100)]
+    coocs += [
+        np.array([[3, 1, 0], [1, 2, 0], [0, 0, 0]]),  # a zero-variance column
+        np.full((4, 4), 2),  # every column constant
+        np.array([[1, 0, 5], [1, 2, 5], [1, 0, 5]]),  # one varying column
+        np.array([[7]]),
+    ]
+    for c in coocs:
+        s = similarity(c)
+        assert s.dtype == np.float64
+        assert s.tobytes() == _similarity_reference(c).tobytes()
+
+
 # --- thresholding ---------------------------------------------------------
 
 
@@ -352,13 +383,31 @@ def test_fifty_matches_reference_on_both_sides_of_the_lockstep_switch(monkeypatc
     assert lockstep >= 20 and len(nets) - lockstep >= 20
 
 
-def test_lockstep_first_passes_equal_the_passes_from_each_pair():
+def _distinct_first_passes(a):
+    """``_first_passes`` from each pair of ``a``, each member set only at
+    its first seed; and the number of seeds."""
+    passes = list(scm._first_passes(bitset_rows(a)))
+    distinct = {}
+    for members, reach, size in passes:
+        distinct.setdefault(members, (members, reach, size))
+    return list(distinct.values()), len(passes)
+
+
+def test_lockstep_first_passes_equal_the_passes_from_each_pair(monkeypatch):
+    repeated = 0
     for net in _switch_networks():
         a, tied, edges = _visit_order(net)
         if edges:
-            lockstep = list(scm._first_passes_lockstep(a[:tied, :tied]))
-            assert lockstep == list(scm._first_passes(bitset_rows(a)))
-            assert len(lockstep) == edges
+            expected, seeds = _distinct_first_passes(a)
+            assert seeds == edges
+            # one block, and blocks of one and two seeds: a set is yielded
+            # once even when its seeds fall in different blocks
+            for cells in (scm.LOCKSTEP_CELLS, tied, 2 * tied):
+                monkeypatch.setattr(scm, "LOCKSTEP_CELLS", cells)
+                assert list(scm._first_passes_lockstep(a[:tied, :tied])) == expected
+            monkeypatch.undo()
+            repeated += len(expected) < edges
+    assert repeated >= 20
 
 
 def _wide_networks():
@@ -382,8 +431,9 @@ def test_lockstep_first_passes_on_sets_of_several_words():
         a, tied, edges = _visit_order(net)
         assert tied == len(net) and edges > 2 * tied
         lockstep = list(scm._first_passes_lockstep(a))
-        assert lockstep == list(scm._first_passes(bitset_rows(a)))
-        assert len(lockstep) == edges
+        expected, seeds = _distinct_first_passes(a)
+        assert seeds == edges
+        assert lockstep == expected
 
 
 def test_fifty_matches_reference_on_wide_networks():

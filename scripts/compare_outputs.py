@@ -28,8 +28,11 @@ one of four blocks of 10 (``blocks.txt``), whose dense peer network sends
 runs with both rules. A fifth, 100 x 300 with reports in ten blocks of 10
 (``blocks_wide.txt``), ties all 100 children by 450 edges, so its
 lockstep pass holds each set in two 64-bit words; ``scm`` runs on it with
-both rules too. Each command's exit code, stdout and stderr are
-compared with its files. Every file that differs or exists on one side
+both rules too. A sixth, 30 x 65 (``two_words.txt``), has rows one
+column wider than a 64-bit word, so a curveball trade lists its pool
+from two words, the second holding one byte; ``simulate --mode
+shuffle`` and ``becd`` run on it. Each command's exit code, stdout and
+stderr are compared with its files. Every file that differs or exists on one side
 only, and every command that exits nonzero, is printed; for a CSV file of
 equal shape, so are the number of cells that differ and the largest
 relative difference of those that are numbers on both sides. The exit
@@ -59,12 +62,14 @@ SIMULATE_TRIALS = "50"
 # children, reports, smallest and largest report, seed and number of blocks
 # of the classrooms the script writes: the wide one, one whose reports have
 # one size, one whose reports have many, and two whose reports each stay
-# within one block of the roster, the second wider than one 64-bit word
+# within one block of the roster, the second wider than one 64-bit word,
+# and one whose rows spill one column past a 64-bit word
 WIDE_CLASS = (40, 200, 2, 12, 21)
 ONE_SIZE_CLASS = (30, 120, 5, 5, 22)
 MANY_SIZES_CLASS = (32, 173, 1, 20, 24)
 BLOCK_CLASS = (40, 120, 4, 8, 23, 4)
 WIDE_BLOCK_CLASS = (100, 300, 4, 8, 25, 10)
+TWO_WORD_CLASS = (30, 65, 2, 8, 26)
 
 
 def class_reports(n_children: int, n_reports: int, smallest: int, largest: int, seed: int,
@@ -104,10 +109,13 @@ def commands(trials: int, seeds: list[int]):
             yield run(f"becd-wide-{correction}", "becd", "wide.txt", "--correction", correction)
         yield run("becd-one-size", "becd", "one_size.txt")
         yield run("becd-many-sizes", "becd", "many_sizes.txt")
+        yield run("becd-two-words", "becd", "two_words.txt")
         yield run("simulate-shuffle", "simulate", "--mode", "shuffle", "--reports", "reports.txt",
                   "--trials", SIMULATE_TRIALS)
         yield run("simulate-shuffle-wide", "simulate", "--mode", "shuffle", "--reports", "wide.txt",
                   "--trials", SIMULATE_TRIALS)
+        yield run("simulate-shuffle-two-words", "simulate", "--mode", "shuffle",
+                  "--reports", "two_words.txt", "--trials", SIMULATE_TRIALS)
         yield run("simulate-generate", "simulate", "--mode", "generate", "--trials", SIMULATE_TRIALS)
         yield run("simulate-profile", "simulate", "--mode", "generate", "--profile", "profile.json",
                   "--trials", SIMULATE_TRIALS)
@@ -183,7 +191,8 @@ def main(argv=None) -> int:
               "one_size.txt": class_reports(*ONE_SIZE_CLASS),
               "many_sizes.txt": class_reports(*MANY_SIZES_CLASS),
               "blocks.txt": class_reports(*BLOCK_CLASS),
-              "blocks_wide.txt": class_reports(*WIDE_BLOCK_CLASS)}
+              "blocks_wide.txt": class_reports(*WIDE_BLOCK_CLASS),
+              "two_words.txt": class_reports(*TWO_WORD_CLASS)}
     with tempfile.TemporaryDirectory() as tmp:
         sides = [pathlib.Path(tmp, "parent"), pathlib.Path(tmp, "change")]
         # each side runs its commands one after another, the sides in parallel

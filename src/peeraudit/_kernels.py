@@ -24,6 +24,7 @@ often gives most of its reports one size.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -266,7 +267,7 @@ def exact_partition_dp(
 ) -> tuple[np.ndarray, float]:
     """Globally optimal modularity partition by subset dynamic programming.
 
-    O(3^n) time and several arrays of 2^n floats; intended for n <= ~14.
+    O(3^n) time and several lists of 2^n floats; intended for n <= ~14.
     ``two_m`` is the total degree that Q is normalised by. It defaults to
     ``adj``'s own; pass the whole network's when ``adj`` is one of its
     connected components, so that the component's Q terms add up to the
@@ -275,32 +276,34 @@ def exact_partition_dp(
     adj = np.asarray(adj)
     n = adj.shape[0]
     deg = adj.sum(axis=1).astype(np.float64)
-    if two_m is None:
-        two_m = float(deg.sum())
+    two_m = float(deg.sum() if two_m is None else two_m)
     if two_m == 0.0:
         return np.arange(n, dtype=np.int64), 0.0
     full = 1 << n
     # internal edge count (times 2) and degree sum for every subset,
-    # built incrementally from the subset minus its lowest bit
-    in2 = np.zeros(full)
-    dsum = np.zeros(full)
+    # built incrementally from the subset minus its lowest bit, and the
+    # subset's modularity term; Python lists, which the 3^n loop below
+    # indexes faster than NumPy arrays
+    in2 = [0.0] * full
+    dsum = [0.0] * full
+    score = [0.0] * full
     adj_rows = bitset_rows(adj)
+    deg = deg.tolist()
     for s in range(1, full):
         v = (s & -s).bit_length() - 1
         rest = s & (s - 1)
-        links = bin(adj_rows[v] & rest).count("1")
-        in2[s] = in2[rest] + 2.0 * links
-        dsum[s] = dsum[rest] + deg[v]
-    score = in2 / two_m - (dsum / two_m) ** 2
-    best = np.full(full, -np.inf)
-    best[0] = 0.0
-    choice = np.zeros(full, dtype=np.int64)
+        in2[s] = i = in2[rest] + 2.0 * (adj_rows[v] & rest).bit_count()
+        dsum[s] = d = dsum[rest] + deg[v]
+        d /= two_m
+        score[s] = i / two_m - d * d
+    best = [0.0] * full
+    choice = [0] * full
     for s in range(1, full):
         v_bit = s & -s
         rest = s ^ v_bit
         # enumerate subsets t of s that contain the lowest bit
         sub = rest
-        b = -np.inf
+        b = -math.inf
         c = 0
         while True:
             t = sub | v_bit
@@ -319,10 +322,10 @@ def exact_partition_dp(
     s = full - 1
     label = 0
     while s:
-        t = int(choice[s])
+        t = choice[s]
         for v in range(n):
             if t >> v & 1:
                 labels[v] = label
         label += 1
         s ^= t
-    return labels, float(best[full - 1])
+    return labels, best[full - 1]

@@ -47,12 +47,7 @@ def modularity(net: np.ndarray, labels: np.ndarray) -> float:
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber communities by first appearance (vertex order)."""
     remap: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, c in enumerate(labels):
-        if int(c) not in remap:
-            remap[int(c)] = len(remap)
-        out[i] = remap[int(c)]
-    return out
+    return np.array([remap.setdefault(c, len(remap)) for c in labels.tolist()], dtype=np.int64)
 
 
 def _local_moves(w: np.ndarray, labels: np.ndarray, order) -> bool:
@@ -168,8 +163,8 @@ def partition_to_groups(
     """Communities as a (non-overlapping) group assignment; isolated
     vertices become singleton groups."""
     groups: dict[int, set[str]] = {}
-    for child, c in zip(children, labels):
-        groups.setdefault(int(c), set()).add(child)
+    for child, c in zip(children, labels.tolist()):
+        groups.setdefault(c, set()).add(child)
     ordered = [frozenset(groups[c]) for c in sorted(groups)]
     return GroupAssignment(children, tuple(ordered))
 

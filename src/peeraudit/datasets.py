@@ -11,6 +11,7 @@ The planted blocks are defined here.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -84,7 +85,10 @@ def generate_planted_classroom(seed: int = 11) -> RecallMatrix:
     return parse_reports(text)
 
 
+@cache
 def load_benchmark() -> RecallMatrix:
-    """The committed surrogate classroom fixture."""
+    """The committed surrogate classroom fixture, read and parsed once per
+    process: every call returns the same frozen matrix, whose entries are
+    read-only."""
     text = resources.files("peeraudit.data").joinpath("benchmark_reports.txt").read_text()
     return parse_reports(text)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
-from operator import getitem
 
 import numpy as np
 
@@ -126,15 +124,16 @@ def curveball_randomize(
     while its low 32 bits fall below 2**32 % span, gives x >> 32. Then,
     only when each row holds a column the other lacks, the trade calls
     ``rng.shuffle`` on the pool: the bits of the columns held by exactly
-    one of them, lowest column first. The pool is listed byte by byte,
-    lowest byte first, from per-byte tables (``_pool_tables``) whose
-    entries list a byte's bits lowest first, so it is in the ascending
-    order that a loop over its bits gives. ``shuffle`` draws the same
-    for a list as for an array of the same length, so this is the
-    shuffle of the sorted column indices. The first ``popcount(a & ~b)``
-    shuffled bits go to row i and the rest to row j, so a seed gives one
-    matrix and leaves the generator in one state, that of the
-    ``rng.choice`` and ``rng.shuffle`` calls.
+    one of them, lowest column first. Rows are padded to whole 64-bit
+    words, and the pool is listed a word at a time, lowest word first:
+    one list display of its eight bytes' entries in per-byte tables
+    (``_pool_tables``), which list a byte's bits lowest first. So the
+    pool is in the ascending order that a loop over its bits gives.
+    ``shuffle`` draws the same for a list as for an array of the same
+    length, so this is the shuffle of the sorted column indices. The
+    first ``popcount(a & ~b)`` shuffled bits go to row i and the rest to
+    row j, so a seed gives one matrix and leaves the generator in one
+    state, that of the ``rng.choice`` and ``rng.shuffle`` calls.
 
     The ``ctypes`` calls do not take the generator's lock: no other
     thread may use the generator during the call.
@@ -147,8 +146,9 @@ def curveball_randomize(
         raise ValueError("n_trades must be >= 0")
     if n < 2 or n_trades == 0:
         return RecallMatrix._unchecked(rm.children, rm.entries.copy())
-    n_bytes = (m + 7) // 8
-    tables = _pool_tables(n_bytes)
+    n_bytes = (m + 63) // 64 * 8
+    # the byte tables of each word, lowest byte first
+    words = list(zip(*[iter(_pool_tables(n_bytes))] * 8))
     rows = bitset_rows(rm.entries)
     shuffle = rng.shuffle
     bits = rng.bit_generator.ctypes
@@ -176,8 +176,11 @@ def curveball_randomize(
         if shared == a or shared == b:
             continue
         either = a ^ b
-        data = either.to_bytes(n_bytes, "little")
-        pool = list(chain.from_iterable(map(getitem, tables, data)))
+        data = iter(either.to_bytes(n_bytes, "little"))
+        pool = []
+        for t0, t1, t2, t3, t4, t5, t6, t7 in words:
+            pool += [*t0[next(data)], *t1[next(data)], *t2[next(data)], *t3[next(data)],
+                     *t4[next(data)], *t5[next(data)], *t6[next(data)], *t7[next(data)]]
         shuffle(pool)
         new_a_only = sum(pool[: (a ^ shared).bit_count()])
         rows[i] = shared | new_a_only

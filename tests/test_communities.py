@@ -220,6 +220,41 @@ def test_exact_partition_dp_default_two_m_is_own_degree_sum():
         assert (labels == canonical_labels(labels)).all()
 
 
+def _cycle(n):
+    net = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        net[i, (i + 1) % n] = net[(i + 1) % n, i] = 1
+    return net
+
+
+def _bowtie():
+    # two triangles that share vertex 2
+    net = np.zeros((5, 5), dtype=np.int64)
+    for a, b in [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]:
+        net[a, b] = net[b, a] = 1
+    return net
+
+
+@pytest.mark.parametrize("net, two_m, labels, q", [
+    # Q 0 for one block and for both pairings of neighbours
+    (_cycle(4), None, [0, 0, 0, 0], 0.0),
+    (_cycle(4), 7, [0, 1, 1, 0], -0.08163265306122447),
+    # three pairs of neighbours, two ways round the ring
+    (_cycle(6), None, [0, 1, 1, 2, 2, 0], 0.16666666666666666),
+    (_cycle(6), 14.0, [0, 1, 1, 1, 0, 0], 0.20408163265306123),
+    # the shared vertex joins either triangle
+    (_bowtie(), None, [0, 0, 0, 1, 1], 0.11111111111111113),
+    (_bowtie(), 14.0, [0, 0, 0, 1, 1], 0.163265306122449),
+    (_bowtie(), 10.0, [0, 0, 0, 1, 1], -1.6653345369377348e-16),
+])
+def test_exact_partition_dp_tie_break(net, two_m, labels, q):
+    # several partitions reach the optimum; the DP returns the first one
+    # its subset order meets, and Q from its own order of additions
+    got_labels, got_q = exact_partition_dp(net, two_m=two_m)
+    assert got_labels.tolist() == labels
+    assert got_q == q
+
+
 @st.composite
 def _decomposable_network(draw):
     """Block-diagonal random network of 3-6 blocks of 1-5 vertices, and a

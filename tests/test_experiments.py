@@ -312,6 +312,17 @@ def test_benchmark_fixture_matches_generator():
     assert (rm.entries == fixture.entries).all()
 
 
+def test_benchmark_fixture_is_one_shared_frozen_matrix():
+    # load_benchmark is cached, so every caller shares one matrix
+    rm = datasets.load_benchmark()
+    assert datasets.load_benchmark() is rm
+    assert isinstance(rm.children, tuple)
+    with pytest.raises(ValueError):
+        rm.entries[0, 0] = 1 - rm.entries[0, 0]
+    with pytest.raises(AttributeError):
+        rm.entries = np.zeros_like(rm.entries)
+
+
 def test_block_agreement_perfect_and_imperfect():
     blocks = [{"a", "b", "c"}, {"d", "e"}]
     allowed = {ch: {i} for i, blk in enumerate(blocks) for ch in blk}

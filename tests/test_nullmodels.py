@@ -4,8 +4,7 @@ import itertools
 import sys
 import threading
 import warnings
-from itertools import chain
-from operator import getitem, is_
+from operator import is_
 
 import numpy as np
 import pytest
@@ -300,24 +299,39 @@ def test_pool_tables_list_bits_as_the_bit_loop_does(n_bytes):
     for k in range(n_bytes):
         for v in range(256):
             assert list(tables[k][v]) == _bits_by_loop(v << 8 * k)
-    rng = np.random.default_rng(n_bytes)
+
+
+@pytest.mark.parametrize("m", [1, 8, 61, 63, 64, 65, 128, 129, 200])
+def test_pools_listed_a_word_at_a_time_as_the_bit_loop_does(m):
+    # the listing of curveball_randomize's trades: rows padded to whole
+    # 64-bit words, each word's bits from its eight byte tables
+    n_bytes = (m + 63) // 64 * 8
+    words = list(zip(*[iter(nullmodels._pool_tables(n_bytes))] * 8))
+    rng = np.random.default_rng(m)
     for case in range(200):
-        row = int.from_bytes(rng.bytes(n_bytes), "little")
+        row = int.from_bytes(rng.bytes(n_bytes), "little") >> 8 * n_bytes - m
         if case % 2:  # sparse: most bytes are zero
             for _ in range(3):
                 row &= int.from_bytes(rng.bytes(n_bytes), "little")
-        data = row.to_bytes(n_bytes, "little")
-        pool = list(chain.from_iterable(map(getitem, tables, data)))
+        data = iter(row.to_bytes(n_bytes, "little"))
+        pool = []
+        for t0, t1, t2, t3, t4, t5, t6, t7 in words:
+            pool += [*t0[next(data)], *t1[next(data)], *t2[next(data)], *t3[next(data)],
+                     *t4[next(data)], *t5[next(data)], *t6[next(data)], *t7[next(data)]]
         assert pool == _bits_by_loop(row)
 
 
 def test_curveball_matches_reference_across_row_widths():
-    # shuffles of 8-, 25-, 1-, 63- and 126-byte rows, interleaved in one
-    # process; the last two are sparse, so most of their bytes are zero
+    # shuffles of rows of 61, 200, 3, 500 and 1001 columns, interleaved in
+    # one process (the last two are sparse, so most of their bytes are
+    # zero), and of 64, 65, 128 and 129: one or two words filled exactly,
+    # or a byte spilled into the next word
     rng = np.random.default_rng(23)
     classroom = generate_classroom(ClassroomProfile(40, 200, 0.25, 0.5, 0.5), seed=23)
     matrices = [load_benchmark(), classroom, _random_rm(rng, 5, 3),
-                _random_rm(rng, 30, 500, density=0.02), _random_rm(rng, 30, 1001, density=0.02)]
+                _random_rm(rng, 30, 500, density=0.02), _random_rm(rng, 30, 1001, density=0.02),
+                _random_rm(rng, 20, 64), _random_rm(rng, 20, 65), _random_rm(rng, 20, 128),
+                _random_rm(rng, 20, 129)]
     for seed in range(6):
         for rm in matrices:
             _assert_curveball_matches_reference(rm, None, seed)

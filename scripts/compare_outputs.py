@@ -14,8 +14,11 @@ corrections) on a copy of the checkout's benchmark report file; and
 fixed ``--profile``, for 50 trials, and again with a second profile of 15
 children, 200 reports and nomination probability 0.9
 (``profile_rest.json``), on which most reports end by taking every child
-left. Five more classrooms have report files that the script writes from
-fixed seeds, the same bytes for both sides: a 40 x 200 one
+left, and a third of 40 children and 600 reports (``profile_wide.json``),
+whose reports read about 22,500 uniforms, so that each classroom fills
+three of the generator's batches of 8192 uniforms and rewinds two. Six
+more classrooms have report files that the script writes from fixed
+seeds, the same bytes for both sides: a 40 x 200 one
 (``wide.txt``), on which ``simulate --mode shuffle`` covers rows of 25
 bytes as well as the benchmark's 8, ``becd`` runs with both corrections
 and ``scm`` with both rules; a 30 x 120 one whose reports all name 5
@@ -58,6 +61,8 @@ PROFILE = {"n_children": 20, "n_reports": 60, "nomination_probability": 0.25,
            "nomination_skew": 0.5, "group_size_skew": 0.5}
 PROFILE_REST = {"n_children": 15, "n_reports": 200, "nomination_probability": 0.9,
                 "nomination_skew": 1.99, "group_size_skew": -0.52}
+PROFILE_WIDE = {"n_children": 40, "n_reports": 600, "nomination_probability": 0.3,
+                "nomination_skew": 1.0, "group_size_skew": 1.0}
 SIMULATE_TRIALS = "50"
 # children, reports, smallest and largest report, seed and number of blocks
 # of the classrooms the script writes: the wide one, one whose reports have
@@ -121,6 +126,8 @@ def commands(trials: int, seeds: list[int]):
                   "--trials", SIMULATE_TRIALS)
         yield run("simulate-profile-rest", "simulate", "--mode", "generate",
                   "--profile", "profile_rest.json", "--trials", SIMULATE_TRIALS)
+        yield run("simulate-profile-wide", "simulate", "--mode", "generate",
+                  "--profile", "profile_wide.json", "--trials", SIMULATE_TRIALS)
 
 
 def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs, inputs: dict[str, str]) -> None:
@@ -139,6 +146,7 @@ def run_side(checkout: pathlib.Path, work: pathlib.Path, jobs, inputs: dict[str,
         (work / name).write_text(text, encoding="utf-8")
     (work / "profile.json").write_text(json.dumps(PROFILE), encoding="utf-8")
     (work / "profile_rest.json").write_text(json.dumps(PROFILE_REST), encoding="utf-8")
+    (work / "profile_wide.json").write_text(json.dumps(PROFILE_WIDE), encoding="utf-8")
     for name, argv in jobs:
         done = subprocess.run([sys.executable, "-m", "peeraudit.cli", *argv],
                               cwd=work, env=env, capture_output=True)

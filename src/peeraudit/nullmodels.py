@@ -8,6 +8,7 @@ nomination probability, and skews of child salience and report size).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cache
@@ -225,10 +226,10 @@ def _solve_concentration(mean: float, target_skew: float) -> float:
     lo, hi = _CONCENTRATION_RANGE
     if not target_skew * (1.0 - 2.0 * mean) > 0.0:
         return hi  # skew -> 0 as concentration grows; closest we can get
-    t = abs(target_skew * np.sqrt(mean * (1.0 - mean)) / (2.0 * (1.0 - 2.0 * mean)))
+    t = abs(target_skew * math.sqrt(mean * (1.0 - mean)) / (2.0 * (1.0 - 2.0 * mean)))
     # for t >= 1/2 (beyond the skew of any c) this gives w <= 1, so c = lo
-    w = (1.0 + np.sqrt(max(1.0 - 4.0 * t * t, 0.0))) / (2.0 * t)
-    return float(np.clip(w * w - 1.0, lo, hi))
+    w = (1.0 + math.sqrt(max(1.0 - 4.0 * t * t, 0.0))) / (2.0 * t)
+    return min(max(w * w - 1.0, lo), hi)
 
 
 def _solve_mean_for_skew(target_skew: float) -> float:
@@ -237,8 +238,8 @@ def _solve_mean_for_skew(target_skew: float) -> float:
     sqrt(mean (1 - mean)); that factor falls from +inf to -inf over (0, 1),
     so any target is reachable, and equals the k below at the mean returned."""
     c = _SALIENCE_CONCENTRATION
-    k = target_skew * (c + 2.0) / (2.0 * np.sqrt(c + 1.0))
-    return float(0.5 - 0.5 * k / np.sqrt(4.0 + k * k))
+    k = target_skew * (c + 2.0) / (2.0 * math.sqrt(c + 1.0))
+    return 0.5 - 0.5 * k / math.sqrt(4.0 + k * k)
 
 
 def _subset_weight_table(odds: np.ndarray, max_size: int) -> np.ndarray:
@@ -273,11 +274,15 @@ def _draw_reports(rng: np.random.Generator, odds: np.ndarray, sizes: list[int]) 
     which that many are left, and moves to the next row at each child taken.
 
     The uniforms are drawn in batches of at most ``_UNIFORM_BATCH``, and a
-    batch is refilled only between reports. Before each batch the
-    generator state is saved; once the reports have used k of its
-    uniforms, the state is restored and ``rng.random(k)`` is drawn. So on
-    any bit generator the reports, and the generator's next draw, are
-    those of one ``rng.random()`` call per uniform used.
+    batch is refilled only between reports, once fewer than n of its
+    uniforms are left. The reports read a batch through one iterator over
+    a memoryview of it, so a uniform becomes a Python float only when a
+    walk reads it, and a report that has read k uniforms has moved the
+    iterator k places. Before each batch the generator state is saved;
+    once the reports have used k of its uniforms, the state is restored
+    and ``rng.random(k)`` is drawn. So on any bit generator the reports,
+    and the generator's next draw, are those of one ``rng.random()`` call
+    per uniform used.
     """
     n = odds.size
     table = _subset_weight_table(odds, max(sizes))
@@ -289,33 +294,38 @@ def _draw_reports(rng: np.random.Generator, odds: np.ndarray, sizes: list[int]) 
     # a report uses fewer than n uniforms, so one that starts with n or
     # more left in its batch never runs past the end
     batch = max(_UNIFORM_BATCH, n)
-    uniforms: list[float] = []
-    used = 0
+    drawn = used = 0
     state = None
     members: list[int] = []
     for j, need in enumerate(sizes):
-        if len(uniforms) - used < n:
+        if drawn - used < n:
             if state is not None:
                 rng.bit_generator.state = state
                 rng.random(used)
             state = rng.bit_generator.state
-            uniforms = rng.random(min(batch, n * (len(sizes) - j))).tolist()
+            drawn = min(batch, n * (len(sizes) - j))
+            uniforms = iter(memoryview(rng.random(drawn)))
             used = 0
-        # child i reads uniforms[used + i]; from child stop on, all are needed
+        # child i reads the next uniform; from child stop on, all are needed
         row, stop = p_inc[need], n - need
         i = 0
-        while i < stop:
-            if uniforms[used + i] < row[i]:
-                members.append(i)
-                need -= 1
-                if not need:
+        if stop:
+            for u in uniforms:
+                if u < row[i]:
+                    members.append(i)
                     i += 1
-                    break
-                row = p_inc[need]
-                stop += 1
-            i += 1
+                    need -= 1
+                    if not need:
+                        break
+                    row = p_inc[need]
+                    stop += 1
+                else:
+                    i += 1
+                    if i == stop:
+                        members.extend(range(i, n))
+                        break
         else:
-            members.extend(range(i, n))
+            members.extend(range(n))
         used += i
     rng.bit_generator.state = state
     rng.random(used)
@@ -348,16 +358,17 @@ def generate_classroom(profile: ClassroomProfile, seed=None) -> RecallMatrix:
     mean_size, size_max = check_feasible(profile)
     rng = as_rng(seed)
     n, m = profile.n_children, profile.n_reports
-    mean01 = np.clip((mean_size - 1.0) / (size_max - 1.0), 0.02, 0.98)
+    mean01 = min(max((mean_size - 1.0) / (size_max - 1.0), 0.02), 0.98)
     conc = _solve_concentration(mean01, profile.group_size_skew)
     draws = rng.beta(mean01 * conc, (1.0 - mean01) * conc, size=m)
     sizes = np.rint(1.0 + draws * (size_max - 1.0)).astype(np.int64)
-    sizes = np.clip(sizes, 1, size_max)
+    sizes = np.minimum(np.maximum(sizes, 1), size_max)
     w_mean = _solve_mean_for_skew(profile.nomination_skew)
     weights = rng.beta(
         w_mean * _SALIENCE_CONCENTRATION, (1.0 - w_mean) * _SALIENCE_CONCENTRATION, size=n
     )
-    odds = np.clip(weights / weights.mean(), 1e-8, 1e8)
+    # np.add.reduce(weights) / n is the arithmetic of weights.mean()
+    odds = np.minimum(np.maximum(weights / (np.add.reduce(weights) / n), 1e-8), 1e8)
     members = _draw_reports(rng, odds, sizes.tolist())
     entries = np.zeros((n, m), dtype=np.int8)
     entries[members, np.repeat(np.arange(m), sizes)] = 1

@@ -198,23 +198,27 @@ def _first_passes_lockstep(a: np.ndarray):
 def _one_word_passes(nb, bit, u, v):
     """(members, reach, size) after the first pass of the seeds (u, v),
     for sets of one word; ``nb`` and ``bit`` are (tied, 1) words, the
-    neighbours of each vertex and the vertex itself. Members and reach
-    come back as (seeds, 1) words."""
-    nb, bit = nb[:, 0], bit[:, 0]
-    members = bit[u] | bit[v]
-    reach = nb[u] | nb[v]
+    neighbours of each vertex and the vertex itself. Each seed's members
+    and reach are the two rows of one (2, seeds) array, so a vertex's
+    step lets every seed that it joins take it in, and its neighbours,
+    with one masked ``bitwise_or``. Members and reach come back as
+    (seeds, 1) words."""
+    # adds[c]: vertex c's bit over its neighbours, a (2, 1) column
+    adds = np.stack([bit, nb], axis=1)
+    nb = nb[:, 0]
+    sets = np.stack([bit[u, 0] | bit[v, 0], nb[u] | nb[v]])
+    members = sets[0]
     size = np.bitwise_count(members)
     shared, twice, join = np.empty_like(members), np.empty_like(size), np.empty(len(u), bool)
-    for nbc, bitc in zip(nb, bit):
+    for nbc, add in zip(nb, adds):
         np.bitwise_and(members, nbc, out=shared)
         np.bitwise_count(shared, out=twice)
         np.add(twice, twice, out=twice)
         np.greater_equal(twice, size, out=join)
-        np.bitwise_or(members, bitc, out=members, where=join)
-        np.bitwise_or(reach, nbc, out=reach, where=join)
+        np.bitwise_or(sets, add, out=sets, where=join)
         # a pair member that "joins" again sets no new bit
         np.bitwise_count(members, out=size)
-    return members[:, None], reach[:, None], size
+    return members[:, None], sets[1][:, None], size
 
 
 def _word_passes(nb, bit, u, v):

@@ -690,14 +690,17 @@ def test_generate_matches_reference_on_drawn_classrooms(bit_generator):
         assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("profile", [
+EDGE_PROFILES = [
     ClassroomProfile(2, 60, 0.5, 0.0, 0.0),  # sizes 1 and 2 of 2
     ClassroomProfile(2, 60, 0.9, 1.9, -0.5),
     ClassroomProfile(20, 80, 0.99, 0.0, -0.5),  # many reports name all 20
     ClassroomProfile(40, 100, 0.5125, 1.9, 0.0),  # mean size 20.5
     ClassroomProfile(41, 100, 0.5, -1.7, 2.3),  # mean size 20.5
     ClassroomProfile(15, 200, 0.9, 1.99, -0.52),  # most reports take the rest
-])
+]
+
+
+@pytest.mark.parametrize("profile", EDGE_PROFILES)
 def test_generate_matches_reference_on_edge_profiles(profile):
     for seed in range(5):
         entries = _assert_generate_matches_reference(
@@ -718,6 +721,24 @@ def test_generate_matches_reference_across_uniform_batches():
         entries = _assert_generate_matches_reference(profile, rng, ref_rng)
         assert entries.sum() > 2 * nullmodels._UNIFORM_BATCH / profile.n_children
         assert rng.integers(2**32, dtype=np.uint32) == ref_rng.integers(2**32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("batch", [lambda n: 1, lambda n: n + 1, lambda n: 3 * n],
+                         ids=["1", "n+1", "3n"])
+@pytest.mark.parametrize("profile", EDGE_PROFILES)
+def test_generate_matches_reference_at_small_uniform_batches(monkeypatch, profile, batch):
+    # a batch holds max(_UNIFORM_BATCH, n) uniforms: at 1 every report
+    # starts a batch, at n + 1 and 3n most reports share one and some end it
+    monkeypatch.setattr(nullmodels, "_UNIFORM_BATCH", batch(profile.n_children))
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # a pending half of a 64-bit output survives every rewind
+        assert rng.integers(2**32, dtype=np.uint32) == ref_rng.integers(2**32, dtype=np.uint32)
+        got = generate_classroom(profile, seed=rng).entries
+        expected = _generate_reference(profile, seed=ref_rng).entries
+        assert np.array_equal(got, expected)
+        assert rng.integers(2**32, dtype=np.uint32) == ref_rng.integers(2**32, dtype=np.uint32)
+        assert rng.random() == ref_rng.random()
 
 
 def _subset_weight_table_reference(odds, max_size):

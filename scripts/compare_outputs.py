@@ -7,8 +7,9 @@ PARENT and CHANGE are checkout roots. For each, the same ``peeraudit``
 commands run as ``python -m peeraudit.cli`` with that checkout's ``src``
 alone on PYTHONPATH, from a work directory of its own and with the same
 relative paths, so that ``manifest.json`` compares too. At each seed they
-are: ``audit --study`` 1, 2, 3, 4a, 4b and 4c, and 2 and 3 again with
-``--method scm-components``; ``scm`` (both rules) and ``becd`` (both
+are: ``audit --study`` 1, 2, 3, 4a, 4b and 4c, 2 and 3 again with
+``--method scm-components``, and 4c again with ``--alpha`` 0.01 and 0.2,
+since which dyads an audit's backbone skips depends on alpha; ``scm`` (both rules) and ``becd`` (both
 corrections) on a copy of the checkout's benchmark report file; and
 ``simulate`` in shuffle and generate mode, the latter with and without a
 fixed ``--profile``, for 50 trials, and again with a second profile of 15
@@ -104,6 +105,9 @@ def commands(trials: int, seeds: list[int]):
         for study in ("2", "3"):
             yield run(f"study{study}-scm-components", "audit", "--study", study,
                       "--method", "scm-components", "--trials", str(trials))
+        for alpha in ("0.01", "0.2"):
+            yield run(f"study4c-alpha{alpha}", "audit", "--study", "4c", "--alpha", alpha,
+                      "--trials", str(trials))
         for rule in ("fifty", "components"):
             yield run(f"scm-{rule}", "scm", "reports.txt", "--rule", rule)
             yield run(f"scm-wide-{rule}", "scm", "wide.txt", "--rule", rule)

@@ -22,6 +22,11 @@ first call that repeats them tabulates the tail of every pair of classes
 (``_kernels.class_pair_tails``), and each later call reads its dyads
 from that table, which is rebuilt wider only when a count outgrows it.
 Both give the same p-values bit for bit.
+
+A caller that needs only the network (an audit trial) can skip most
+tails on a cold fit: a tail that Cantelli's inequality already puts above
+alpha cannot bring its dyad into the backbone, so it is never computed
+(``_out_of_reach``). The network is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .recall import RecallMatrix, margins
 from .scm import cooccurrence
 
 MARGIN_TOL = 1e-6
+# relative slack on the null variance before Cantelli's bound rules a dyad out
+CANTELLI_SLACK = 1e-6
 
 # extract_backbone's memo: entry is (key, cell probabilities, tails), with
 # tails None or class_pair_tails' (pair, table). It is replaced whole, never
@@ -50,7 +57,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class BackboneResult:
-    pvalues: np.ndarray  # symmetric, upper-tail, diagonal 1
+    pvalues: np.ndarray | None  # symmetric, upper-tail, diagonal 1; None if not asked for
     network: np.ndarray  # binary adjacency, zero diagonal
     alpha: float
     correction: str
@@ -190,8 +197,32 @@ def holm_adjust(pvals: np.ndarray) -> np.ndarray:
     return adjusted
 
 
+def _out_of_reach(cell_p: np.ndarray, cooc: np.ndarray, alpha: float) -> np.ndarray:
+    """The dyads whose p-value Cantelli's inequality puts above ``alpha``.
+
+    Dyad (i, j)'s null count X has mean mu = sum_k p_ik p_jk and variance
+    sigma^2 = sum_k p_ik p_jk (1 - p_ik p_jk), both from one matrix
+    product each. For a count t with a = mu - t + 1 > 0, Cantelli's
+    one-sided inequality gives P(X <= t - 1) <= sigma^2 / (sigma^2 + a^2),
+    so P(X >= t) >= a^2 / (sigma^2 + a^2), which exceeds alpha when
+    a^2 (1 - alpha) > alpha sigma^2.
+
+    Each of the two sums of m products is within (m + 2) eps mu of the
+    sum over the kernel's rounded trials, so a is taken that much lower
+    and sigma^2 twice that much higher, and then ``CANTELLI_SLACK``
+    larger, before the test: rounding cannot rule out a dyad that the
+    exact tail would keep. At alpha = 1 nothing is ruled out.
+    """
+    mean = cell_p @ cell_p.T
+    squares = cell_p * cell_p
+    err = (cell_p.shape[1] + 2) * np.finfo(np.float64).eps * mean
+    a = mean - err - cooc + 1.0
+    var = mean - squares @ squares.T + 2.0 * err
+    return (a > 0.0) & (a * a * (1.0 - alpha) > alpha * (1.0 + CANTELLI_SLACK) * var)
+
+
 def extract_backbone(
-    rm: RecallMatrix, alpha: float = 0.05, correction: str = "none"
+    rm: RecallMatrix, alpha: float = 0.05, correction: str = "none", *, pvalues: bool = True
 ) -> BackboneResult:
     """Retain dyads whose co-occurrence count is significantly high under
     the degree-conditioned null (one-tailed, inclusive at alpha).
@@ -200,6 +231,12 @@ def extract_backbone(
     The fit of ``rm``'s margins and its class-pair tails are reused from
     the previous call when its margins were the same (see the module
     docstring).
+
+    With ``pvalues=False`` the result's ``pvalues`` is None and only its
+    network is computed. On a new fit with ``correction="none"``, the
+    exact tail is then skipped for every dyad that Cantelli's bound shows
+    is above ``alpha`` (``_out_of_reach``); the network is the one the
+    default call returns, bit for bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -210,7 +247,11 @@ def extract_backbone(
     entry = _memo.entry
     if entry is None or entry[0] != key:
         cell_p = fit_bicm(rm.entries)
-        pvals = _dyad_pvalues(cell_p, cooc)
+        counts = cooc
+        if not pvalues and correction == "none":
+            # a ruled-out dyad reads p = 1 > alpha, as its exact tail would
+            counts = np.where(_out_of_reach(cell_p, cooc, alpha), 0, cooc)
+        pvals = _dyad_pvalues(cell_p, counts)
         _memo.entry = (key, cell_p, None)
     else:
         _, cell_p, tails = entry
@@ -229,4 +270,5 @@ def extract_backbone(
         effective[iu, ju] = effective[ju, iu] = holm_adjust(pvals[iu, ju])
     network = ((effective <= alpha) & (cooc >= 1)).astype(np.int8)
     np.fill_diagonal(network, 0)
-    return BackboneResult(pvalues=pvals, network=network, alpha=alpha, correction=correction)
+    return BackboneResult(pvalues=pvals if pvalues else None, network=network, alpha=alpha,
+                          correction=correction)

@@ -20,7 +20,7 @@ from ._kernels import exact_partition_dp
 from .backbone import BackboneResult, extract_backbone
 from .nullmodels import as_rng
 from .recall import RecallMatrix
-from .scm import GroupAssignment, component_members
+from .scm import GroupAssignment, _check_peer_network, component_members
 
 DEFAULT_RESTARTS = 50
 EXACT_MAX_N = 12
@@ -134,14 +134,17 @@ def _louvain_best(net: np.ndarray, restarts: int, seed) -> tuple[np.ndarray, flo
 def maximize_modularity(net: np.ndarray, seed=None) -> tuple[np.ndarray, float]:
     """Best-Q partition of a binary undirected network; returns (labels, Q).
 
-    When every connected component has at most ``EXACT_MAX_N`` vertices,
-    the result is the exact optimum, found component by component, and
-    ``seed`` is unused; the DP's fixed subset order breaks ties between
-    equal-Q partitions. Otherwise the whole network goes through
-    ``DEFAULT_RESTARTS`` seeded Louvain runs. Labels are canonical
-    (numbered by first appearance).
+    ``net`` must be a simple graph: square, 0/1, symmetric, with a zero
+    diagonal; anything else raises ``ValueError``, since the exact DP
+    counts edges as bits and would score weights and self-loops otherwise
+    than ``modularity`` does. When every connected component has at most
+    ``EXACT_MAX_N`` vertices, the result is the exact optimum, found
+    component by component, and ``seed`` is unused; the DP's fixed subset
+    order breaks ties between equal-Q partitions. Otherwise the whole
+    network goes through ``DEFAULT_RESTARTS`` seeded Louvain runs. Labels
+    are canonical (numbered by first appearance).
     """
-    net = np.asarray(net)
+    net = _check_peer_network(net)
     components = component_members(net)
     if max(map(len, components), default=0) > EXACT_MAX_N:
         return _louvain_best(net, DEFAULT_RESTARTS, seed)
@@ -174,8 +177,15 @@ def becd_groups(
     alpha: float = 0.05,
     seed=None,
     correction: str = "none",
+    *,
+    pvalues: bool = True,
 ) -> tuple[BackboneResult, np.ndarray, GroupAssignment]:
-    """Backbone extraction followed by modularity maximization."""
-    result = extract_backbone(rm, alpha=alpha, correction=correction)
+    """Backbone extraction followed by modularity maximization.
+
+    ``pvalues`` goes to ``extract_backbone``: with False, the backbone's
+    ``pvalues`` is None and the tails that cannot reach ``alpha`` may be
+    skipped, with the same network and groups.
+    """
+    result = extract_backbone(rm, alpha=alpha, correction=correction, pvalues=pvalues)
     labels, _ = maximize_modularity(result.network, seed=seed)
     return result, labels, partition_to_groups(labels, rm.children)

@@ -78,10 +78,12 @@ def run_pipeline(
 
     Children who were never named in any report are excluded from the
     analysis (and from P's denominator), mirroring standard practice.
+    BE-CD is run with ``pvalues=False``: P needs only the backbone, so no
+    tail that Cantelli's bound keeps out of it is computed.
     """
     rm, _ = drop_never_named(rm)
     if method == "becd":
-        _, _, assignment = communities.becd_groups(rm, alpha=alpha, seed=seed)
+        _, _, assignment = communities.becd_groups(rm, alpha=alpha, seed=seed, pvalues=False)
     elif method.startswith("scm-"):
         _, assignment = scm.scm_groups(rm, threshold=threshold, rule=method[4:])
     else:

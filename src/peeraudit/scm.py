@@ -111,13 +111,14 @@ def _finish(children: tuple[str, ...], groups: list[set[int]]) -> GroupAssignmen
     return GroupAssignment(children, named)
 
 
-def _check_peer_network(net, children: tuple[str, ...]) -> np.ndarray:
+def _check_peer_network(net, children: tuple[str, ...] | None = None) -> np.ndarray:
     """The network as an array, if it is a simple undirected 0/1 graph over
-    the roster; anything else raises ``ValueError``."""
+    the roster (any size when ``children`` is None); anything else raises
+    ``ValueError``."""
     net = np.asarray(net)
     if net.ndim != 2 or net.shape[0] != net.shape[1]:
         raise ValueError(f"network must be a square matrix, got shape {net.shape}")
-    if net.shape[0] != len(children):
+    if children is not None and net.shape[0] != len(children):
         raise ValueError(
             f"network has {net.shape[0]} rows for {len(children)} children"
         )

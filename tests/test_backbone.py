@@ -865,3 +865,105 @@ def test_backbone_memo_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# --- the network-only backbone --------------------------------------------
+
+ALPHAS = (1e-4, 0.01, 0.05, 0.2, 1.0)
+
+
+def _assert_network_only_matches(rm, alphas, monkeypatch):
+    """For each alpha: every dyad that Cantelli's bound rules out has an
+    exact p-value above alpha, and a cold network-only call returns the
+    default call's network bit for bit. Returns the dyads ruled out."""
+    cooc = cooccurrence(rm)
+    cell_p = fit_bicm(rm.entries)
+    exact = dyad_pvalues(cell_p, cooc)
+    ruled = 0
+    for alpha in alphas:
+        out = backbone._out_of_reach(cell_p, cooc, alpha) & (cooc >= 1)
+        np.fill_diagonal(out, False)
+        assert (exact[out] > alpha).all(), alpha
+        ruled += int(out.sum()) // 2
+    expected = [extract_backbone(rm, alpha=alpha).network for alpha in alphas]
+    for alpha, network in zip(alphas, expected):
+        monkeypatch.setattr(backbone._memo, "entry", None)
+        result = extract_backbone(rm, alpha=alpha, pvalues=False)
+        assert result.pvalues is None
+        assert result.network.tobytes() == network.tobytes(), alpha
+    return ruled
+
+
+def test_network_only_backbone_matches_on_generated_classrooms(monkeypatch):
+    ruled = sum(_assert_network_only_matches(draw_classroom(np.random.default_rng(s))[1],
+                                             ALPHAS, monkeypatch)
+                for s in range(300))
+    assert ruled > 10_000  # the bound is not idle
+
+
+def test_network_only_backbone_matches_where_the_null_variance_is_zero(monkeypatch):
+    # peeled cells are 0 or 1, so a dyad of two peeled rows has no variance
+    rng = np.random.default_rng(28)
+    matrices = _peeled_matrices() + [_wrapped_core(rng) for _ in range(60)]
+    certain = 0
+    for r in matrices:
+        cell_p = fit_bicm(r)
+        trials = cell_p[:, None, :] * cell_p[None, :, :]
+        variance = (trials * (1.0 - trials)).sum(axis=2)
+        certain += int(np.triu((variance == 0.0) & (cooccurrence(_rm(r)) >= 1), 1).sum())
+        _assert_network_only_matches(_rm(r), ALPHAS, monkeypatch)
+    assert certain > 100
+
+
+def test_network_only_backbone_matches_on_benchmark_shuffles(monkeypatch):
+    rm = load_benchmark()
+    for x in [rm] + [curveball_randomize(rm, seed=s) for s in range(50)]:
+        _assert_network_only_matches(x, ALPHAS, monkeypatch)
+
+
+def _kernel_counts(rm, alpha, monkeypatch, correction="none"):
+    """The counts that a cold network-only call hands the dyad kernel."""
+    calls = []
+
+    def kernel(cell_p, counts):
+        calls.append(np.array(counts))
+        return dyad_pvalues(cell_p, counts)
+
+    monkeypatch.setattr(backbone._memo, "entry", None)
+    monkeypatch.setattr(backbone, "_dyad_pvalues", kernel)
+    extract_backbone(rm, alpha=alpha, correction=correction, pvalues=False)
+    assert len(calls) == 1
+    counts = calls[0]
+    np.fill_diagonal(counts, 0)
+    return counts
+
+
+def test_network_only_backbone_when_every_dyad_is_ruled_out(monkeypatch):
+    # every report names everybody: each count is its mean, with no variance
+    rm = _rm(np.ones((5, 4)))
+    assert not _kernel_counts(rm, 0.05, monkeypatch).any()
+    assert not extract_backbone(rm, alpha=0.05, pvalues=False).network.any()
+    _assert_network_only_matches(rm, ALPHAS, monkeypatch)
+
+
+def test_network_only_backbone_when_no_dyad_is_ruled_out(monkeypatch):
+    rm = _planted_two_block()
+    cooc = cooccurrence(rm)
+    np.fill_diagonal(cooc, 0)
+    for alpha in (0.2, 1.0):
+        assert np.array_equal(_kernel_counts(rm, alpha, monkeypatch), cooc)
+    _assert_network_only_matches(rm, (0.2, 1.0), monkeypatch)
+
+
+def test_network_only_backbone_skips_nothing_on_the_memo_or_with_holm(monkeypatch):
+    # a memo hit reads its table, and Holm needs every p-value
+    rm = _planted_two_block()
+    monkeypatch.setattr(backbone._memo, "entry", None)
+    for correction in ("none", "holm"):
+        expected = extract_backbone(rm, correction=correction)
+        result = extract_backbone(rm, correction=correction, pvalues=False)
+        assert result.pvalues is None
+        assert np.array_equal(result.network, expected.network)
+    cooc = cooccurrence(rm)
+    np.fill_diagonal(cooc, 0)
+    assert np.array_equal(_kernel_counts(rm, 0.05, monkeypatch, "holm"), cooc)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from peeraudit import communities
+from peeraudit import backbone, communities
 from peeraudit._kernels import exact_partition_dp
 from peeraudit.communities import (
     DEFAULT_RESTARTS,
@@ -153,6 +153,29 @@ def test_maximize_edgeless_singletons():
     labels, q = maximize_modularity(np.zeros((4, 4), dtype=np.int64), seed=0)
     assert len(set(labels.tolist())) == 4
     assert q == 0.0
+
+
+@pytest.mark.parametrize("net, message", [
+    # weights: the DP counted each as one edge, Q -0.181 against -0.014
+    ([[0, 2, 0, 0], [2, 0, 1, 0], [0, 1, 0, 3], [0, 0, 3, 0]], "0 or 1"),
+    # a self-loop: the DP counted none, Q 0.061 against 0.204
+    ([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], "diagonal"),
+    # the directed path 0 -> 1 -> 2: Q 1.0 against 0.0
+    ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], "symmetric"),
+    ([[0, 1, 0], [1, 0, 1]], "square"),
+])
+def test_maximize_rejects_networks_that_are_not_simple_graphs(net, message):
+    with pytest.raises(ValueError, match=message):
+        maximize_modularity(np.array(net), seed=0)
+
+
+def test_maximize_q_is_the_modularity_of_its_labels():
+    rng = np.random.default_rng(26)
+    for n in (1, 5, 9, EXACT_MAX_N + 3):
+        upper = np.triu(rng.random((n, n)) < 0.3, 1)
+        for net in (upper | upper.T, (upper | upper.T).astype(np.int8)):
+            labels, q = maximize_modularity(net, seed=0)
+            assert q == pytest.approx(modularity(net, labels), abs=1e-12)
 
 
 def test_exact_path_matches_exhaustive_oracle():
@@ -340,6 +363,20 @@ def test_becd_single_report_no_structure():
     rm = RecallMatrix(("a", "b", "c", "d"), entries)
     _, _, assignment = becd_groups(rm, seed=0)
     assert membership_statistic(assignment, 4) == 0.0
+
+
+def test_becd_network_only_has_the_same_groups(monkeypatch):
+    rng = np.random.default_rng(27)
+    entries = (rng.random((20, 50)) < 0.25).astype(np.int8)
+    entries[:, entries.sum(axis=0) == 0] = 1
+    rm = RecallMatrix(tuple(f"v{i}" for i in range(20)), entries)
+    full = becd_groups(rm, seed=9)
+    monkeypatch.setattr(backbone._memo, "entry", None)  # a cold fit, where tails are skipped
+    only = becd_groups(rm, seed=9, pvalues=False)
+    assert full[0].pvalues is not None and only[0].pvalues is None
+    assert np.array_equal(full[0].network, only[0].network)
+    assert (full[1] == only[1]).all()
+    assert full[2] == only[2]
 
 
 def test_becd_deterministic():

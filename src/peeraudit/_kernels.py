@@ -205,7 +205,8 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     For dyad (i, j) the null co-occurrence count over reports is a sum of
     independent Bernoulli(cell_probs[i, k] * cell_probs[j, k]) trials; the
     p-value is P(X >= cooc[i, j]). A dyad that never co-occurs has p = 1
-    exactly and is not computed. Symmetric, diagonal 1.
+    exactly and is not computed; with none co-occurring, the call returns
+    at once. Symmetric, diagonal 1.
 
     Rows of ``cell_probs`` that are bitwise equal form a class (in a BiCM
     fit, the children of one degree), and the trials of a dyad depend only
@@ -223,10 +224,10 @@ def dyad_pvalues(cell_probs: np.ndarray, cooc: np.ndarray) -> np.ndarray:
     cooc = np.asarray(cooc)
     n, m = cell_probs.shape
     out = np.ones((n, n))
-    iu, ju = np.triu_indices(n, 1)
-    observed = cooc[iu, ju]
-    keep = observed > 0
-    iu, ju, observed = iu[keep], ju[keep], np.minimum(observed[keep], m + 1)
+    iu, ju = np.nonzero(np.triu(cooc, 1) > 0)  # row-major, as np.triu_indices
+    if not iu.size:
+        return out
+    observed = np.minimum(cooc[iu, ju], m + 1)
     first, row_class = _row_classes(cell_probs)
     a, b = row_class[iu], row_class[ju]
     pairs, pair = np.unique(

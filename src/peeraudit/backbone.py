@@ -24,13 +24,16 @@ from that table, which is rebuilt wider only when a count outgrows it.
 Both give the same p-values bit for bit.
 
 A caller that needs only the network (an audit trial) can skip most
-tails on a cold fit: a tail that Cantelli's inequality already puts above
+tails on a cold fit: a tail that Cantelli's inequality or the
+Berry-Esseen bound (constant 0.56, Shevtsova 2010) already puts above
 alpha cannot bring its dyad into the backbone, so it is never computed
-(``_out_of_reach``). The network is the same bit for bit.
+(``_out_of_reach``). The kernel then runs only the dyads near alpha and
+those that enter the backbone. The network is the same bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -42,8 +45,12 @@ from .recall import RecallMatrix, margins
 from .scm import cooccurrence
 
 MARGIN_TOL = 1e-6
-# relative slack on the null variance before Cantelli's bound rules a dyad out
+# relative slack on the null variance before Cantelli's bound rules a dyad
+# out, and on the tail and alpha before the Berry-Esseen bound does
 CANTELLI_SLACK = 1e-6
+# the Berry-Esseen constant for sums of non-identical independent summands
+# (Shevtsova, Doklady Math. 82, 2010)
+BERRY_ESSEEN_C0 = 0.5600
 
 # extract_backbone's memo: entry is (key, cell probabilities, tails), with
 # tails None or class_pair_tails' (pair, table). It is replaced whole, never
@@ -198,27 +205,63 @@ def holm_adjust(pvals: np.ndarray) -> np.ndarray:
 
 
 def _out_of_reach(cell_p: np.ndarray, cooc: np.ndarray, alpha: float) -> np.ndarray:
-    """The dyads whose p-value Cantelli's inequality puts above ``alpha``.
+    """The dyads whose p-value Cantelli's inequality or the Berry-Esseen
+    bound puts above ``alpha``.
 
-    Dyad (i, j)'s null count X has mean mu = sum_k p_ik p_jk and variance
-    sigma^2 = sum_k p_ik p_jk (1 - p_ik p_jk), both from one matrix
-    product each. For a count t with a = mu - t + 1 > 0, Cantelli's
+    Dyad (i, j)'s null count X has mean mu = sum_k q_k and variance
+    sigma^2 = sum_k q_k (1 - q_k), with q_k = p_ik p_jk, both from one
+    matrix product each. For a count t with a = mu - t + 1 > 0, Cantelli's
     one-sided inequality gives P(X <= t - 1) <= sigma^2 / (sigma^2 + a^2),
     so P(X >= t) >= a^2 / (sigma^2 + a^2), which exceeds alpha when
     a^2 (1 - alpha) > alpha sigma^2.
 
+    For the dyads that Cantelli leaves, a trial's third absolute central
+    moment q (1 - q) (q^2 + (1 - q)^2) is at most q (1 - q), so the
+    Berry-Esseen inequality for non-identical summands puts P(X <= x)
+    within C0 / sigma of Phi((x - mu) / sigma), with
+    C0 = ``BERRY_ESSEEN_C0``. Hence
+    P(X >= t) >= Phibar((t - 1 - mu) / sigma) - C0 / sigma, and the dyad
+    is ruled out when that exceeds alpha. Phibar is computed with
+    ``math.erfc``, and only for the dyads with t - 1 >= mu whose
+    C0 / sigma leaves room below 1/2 - alpha.
+
     Each of the two sums of m products is within (m + 2) eps mu of the
-    sum over the kernel's rounded trials, so a is taken that much lower
-    and sigma^2 twice that much higher, and then ``CANTELLI_SLACK``
-    larger, before the test: rounding cannot rule out a dyad that the
-    exact tail would keep. At alpha = 1 nothing is ruled out.
+    sum over the kernel's rounded trials, and every input is taken on the
+    side that lowers the bound: mu that much lower in both tests, sigma^2
+    twice that much higher for Cantelli and lower for Berry-Esseen (a dyad
+    whose lowered sigma^2 is not positive is kept), the numerator
+    t - 1 - mu clipped at 0 (where Phibar is 1/2, its value at most
+    there), Phibar shrunk and alpha grown by ``CANTELLI_SLACK``: rounding
+    cannot rule out a dyad that the exact tail would keep. At alpha = 1
+    nothing is ruled out.
     """
     mean = cell_p @ cell_p.T
     squares = cell_p * cell_p
     err = (cell_p.shape[1] + 2) * np.finfo(np.float64).eps * mean
-    a = mean - err - cooc + 1.0
-    var = mean - squares @ squares.T + 2.0 * err
-    return (a > 0.0) & (a * a * (1.0 - alpha) > alpha * (1.0 + CANTELLI_SLACK) * var)
+    low_mean = mean - err
+    a = low_mean - cooc + 1.0
+    var = mean - squares @ squares.T
+    below = a > 0.0  # t - 1 < mu: Cantelli applies, and Phibar's numerator clips to 0
+    out = below & (a * a * (1.0 - alpha) > alpha * (1.0 + CANTELLI_SLACK) * (var + 2.0 * err))
+    reach = 0.5 * (1.0 - CANTELLI_SLACK) - alpha * (1.0 + CANTELLI_SLACK)
+    if reach <= 0.0:
+        return out
+    var -= 2.0 * err
+    # Phibar is at most 1/2, so only a dyad with C0 / sigma < reach can
+    # pass, and where the numerator clips to 0 that is the whole test
+    wide = var > (BERRY_ESSEEN_C0 / reach) ** 2
+    out |= wide & below
+    i, j = np.nonzero(wide & ~below & (cooc >= 1))
+    upper = i < j
+    i, j = i[upper], j[upper]
+    if i.size:
+        sigma = np.sqrt(var[i, j])
+        z = np.maximum(cooc[i, j] - 1.0 - low_mean[i, j], 0.0) / sigma
+        phibar = np.array([math.erfc(x) for x in (z * math.sqrt(0.5)).tolist()]) * 0.5
+        hit = phibar * (1.0 - CANTELLI_SLACK) > alpha * (1.0 + CANTELLI_SLACK) + BERRY_ESSEEN_C0 / sigma
+        i, j = i[hit], j[hit]
+        out[i, j] = out[j, i] = True
+    return out
 
 
 def extract_backbone(
@@ -234,9 +277,9 @@ def extract_backbone(
 
     With ``pvalues=False`` the result's ``pvalues`` is None and only its
     network is computed. On a new fit with ``correction="none"``, the
-    exact tail is then skipped for every dyad that Cantelli's bound shows
-    is above ``alpha`` (``_out_of_reach``); the network is the one the
-    default call returns, bit for bit.
+    exact tail is then skipped for every dyad that Cantelli's or the
+    Berry-Esseen bound shows is above ``alpha`` (``_out_of_reach``); the
+    network is the one the default call returns, bit for bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")

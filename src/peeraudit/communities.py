@@ -145,6 +145,8 @@ def maximize_modularity(net: np.ndarray, seed=None) -> tuple[np.ndarray, float]:
     are canonical (numbered by first appearance).
     """
     net = _check_peer_network(net)
+    if not net.any():  # every vertex a singleton, as the search below finds
+        return np.arange(net.shape[0], dtype=np.int64), 0.0
     components = component_members(net)
     if max(map(len, components), default=0) > EXACT_MAX_N:
         return _louvain_best(net, DEFAULT_RESTARTS, seed)

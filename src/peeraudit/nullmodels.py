@@ -248,14 +248,17 @@ def _subset_weight_table(odds: np.ndarray, max_size: int) -> np.ndarray:
     table[k, i] = sum over k-subsets S of {i..n-1} of prod(odds[S]).
     Shared by every report of a classroom; scale-invariant in the odds.
     Row k is the reversed cumulative sum of odds[i] * table[k - 1, i + 1].
-    ``np.cumsum`` adds in order, so each cell is the sum that the recursion
-    table[k, i] = odds[i] table[k - 1, i + 1] + table[k, i + 1] forms.
+    ``np.add.accumulate`` adds in order, so each cell is the sum that the
+    recursion table[k, i] = odds[i] table[k - 1, i + 1] + table[k, i + 1]
+    forms.
     """
     n = odds.size
     table = np.zeros((max_size + 1, n + 1))
     table[0, :] = 1.0
+    terms = np.empty(n)
     for k in range(1, max_size + 1):
-        np.cumsum((odds * table[k - 1, 1:])[::-1], out=table[k, -2::-1])
+        np.multiply(odds, table[k - 1, 1:], out=terms)
+        np.add.accumulate(terms[::-1], out=table[k, -2::-1])
     return table
 
 

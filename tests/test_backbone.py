@@ -4,13 +4,14 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from peeraudit import backbone
+from peeraudit import _kernels, backbone
 from peeraudit.backbone import (
     MARGIN_TOL,
     ConvergenceError,
@@ -481,6 +482,20 @@ def _fitted(rm):
 ONE_SIZE_SEEDS, TWO_SIZE_SEEDS, MANY_SIZE_SEEDS = (150, 156), (157, 195), (258, 263)
 
 
+def test_dyad_pvalues_return_at_once_when_no_dyad_co_occurs(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("the kernel ran with no co-occurring dyad")
+
+    monkeypatch.setattr(_kernels, "_row_classes", must_not_run)
+    monkeypatch.setattr(_kernels, "survival_table", must_not_run)
+    cell_p = fit_bicm(draw_classroom(np.random.default_rng(3))[1].entries)
+    n = cell_p.shape[0]
+    for cooc in (np.zeros((n, n), dtype=np.int64), np.diag(np.arange(1, n + 1))):
+        pvals = dyad_pvalues(cell_p, cooc)
+        assert pvals.shape == (n, n)
+        assert (pvals == 1.0).all()
+
+
 def test_dyad_pvalues_match_per_dyad_loop_bitwise():
     rng = np.random.default_rng(17)
     cases = [_fitted(load_benchmark())]
@@ -873,18 +888,25 @@ ALPHAS = (1e-4, 0.01, 0.05, 0.2, 1.0)
 
 
 def _assert_network_only_matches(rm, alphas, monkeypatch):
-    """For each alpha: every dyad that Cantelli's bound rules out has an
-    exact p-value above alpha, and a cold network-only call returns the
-    default call's network bit for bit. Returns the dyads ruled out."""
+    """For each alpha: every dyad that Cantelli's or the Berry-Esseen bound
+    rules out has an exact p-value above alpha, and a cold network-only
+    call returns the default call's network bit for bit. Returns the dyads
+    ruled out by Cantelli's bound and those ruled out by Berry-Esseen
+    alone, as an array of two counts."""
     cooc = cooccurrence(rm)
     cell_p = fit_bicm(rm.entries)
     exact = dyad_pvalues(cell_p, cooc)
-    ruled = 0
+    ruled = np.zeros(2, dtype=np.int64)
     for alpha in alphas:
         out = backbone._out_of_reach(cell_p, cooc, alpha) & (cooc >= 1)
         np.fill_diagonal(out, False)
         assert (exact[out] > alpha).all(), alpha
-        ruled += int(out.sum()) // 2
+        with monkeypatch.context() as m:  # an infinite constant idles Berry-Esseen
+            m.setattr(backbone, "BERRY_ESSEEN_C0", math.inf)
+            cantelli = backbone._out_of_reach(cell_p, cooc, alpha) & (cooc >= 1)
+        np.fill_diagonal(cantelli, False)
+        assert (cantelli <= out).all()
+        ruled += [int(cantelli.sum()) // 2, int((out & ~cantelli).sum()) // 2]
     expected = [extract_backbone(rm, alpha=alpha).network for alpha in alphas]
     for alpha, network in zip(alphas, expected):
         monkeypatch.setattr(backbone._memo, "entry", None)
@@ -895,10 +917,13 @@ def _assert_network_only_matches(rm, alphas, monkeypatch):
 
 
 def test_network_only_backbone_matches_on_generated_classrooms(monkeypatch):
-    ruled = sum(_assert_network_only_matches(draw_classroom(np.random.default_rng(s))[1],
-                                             ALPHAS, monkeypatch)
-                for s in range(300))
-    assert ruled > 10_000  # the bound is not idle
+    cantelli, berry_esseen = sum(
+        _assert_network_only_matches(draw_classroom(np.random.default_rng(s))[1], ALPHAS,
+                                     monkeypatch)
+        for s in range(300))
+    # neither bound is idle
+    assert cantelli > 10_000
+    assert berry_esseen > 10_000
 
 
 def test_network_only_backbone_matches_where_the_null_variance_is_zero(monkeypatch):
@@ -919,6 +944,39 @@ def test_network_only_backbone_matches_on_benchmark_shuffles(monkeypatch):
     rm = load_benchmark()
     for x in [rm] + [curveball_randomize(rm, seed=s) for s in range(50)]:
         _assert_network_only_matches(x, ALPHAS, monkeypatch)
+
+
+def _graded_classroom(n_children, n_reports, seed=0):
+    """The classroom of scripts/backbone_scale.py: child i is named in each
+    report with probability 0.02 + 0.38 i / (n - 1), so most children have
+    a degree of their own and the dyad kernel sees about n^2 / 2 class
+    pairs."""
+    rng = np.random.default_rng(seed)
+    probs = np.linspace(0.02, 0.4, n_children)
+    entries = rng.random((n_children, n_reports)) < probs[:, None]
+    entries = entries[:, entries.any(axis=0)]
+    return _rm(entries)
+
+
+def test_network_only_backbone_matches_on_a_graded_classroom(monkeypatch):
+    rm = _graded_classroom(100, 500)
+    assert np.unique(rm.entries.sum(axis=1)).size > 75
+    cantelli, berry_esseen = _assert_network_only_matches(rm, ALPHAS, monkeypatch)
+    assert cantelli > 0 and berry_esseen > 0
+
+
+def test_network_only_backbone_memory_on_a_graded_classroom(monkeypatch):
+    # measured before this test was written: a 3.5 MB traced peak, where
+    # the default call peaks at 28.9 MB and Cantelli's bound alone at 14.9 MB
+    rm = _graded_classroom(100, 500)
+    monkeypatch.setattr(backbone._memo, "entry", None)
+    tracemalloc.start()
+    try:
+        extract_backbone(rm, pvalues=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def _kernel_counts(rm, alpha, monkeypatch, correction="none"):

@@ -155,6 +155,20 @@ def test_maximize_edgeless_singletons():
     assert q == 0.0
 
 
+def test_maximize_edgeless_skips_the_community_search(monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("searched an edgeless network")
+
+    monkeypatch.setattr(communities, "component_members", must_not_run)
+    monkeypatch.setattr(communities, "_louvain_best", must_not_run)
+    for n in (1, EXACT_MAX_N + 16):
+        labels, q = maximize_modularity(np.zeros((n, n), dtype=np.int8), seed=0)
+        assert labels.dtype == np.int64 and labels.tolist() == list(range(n))
+        assert q == 0.0 and isinstance(q, float)
+    with pytest.raises(ValueError, match="square"):
+        maximize_modularity(np.zeros((2, 3), dtype=np.int8), seed=0)
+
+
 @pytest.mark.parametrize("net, message", [
     # weights: the DP counted each as one edge, Q -0.181 against -0.014
     ([[0, 2, 0, 0], [2, 0, 1, 0], [0, 1, 0, 3], [0, 0, 3, 0]], "0 or 1"),

@@ -1,14 +1,16 @@
 #!/usr/bin/env python
 """Time and memory of one cold ``extract_backbone`` call on large classrooms.
 
-    PYTHONPATH=src python scripts/backbone_scale.py 100x500 200x1000 [--repeats R] [--seed S]
+    PYTHONPATH=src python scripts/backbone_scale.py 100x500 200x1000 [--repeats R]
 
 Each size N x M is a graded classroom: child i is named in each of M
 reports independently with probability 0.02 + 0.38 i / (N - 1), spread
-evenly over [0.02, 0.4], and reports that name nobody are dropped. Most
-children then have a degree of their own, so the dyad kernel sees close
-to N^2 / 2 class pairs, the case in which BE-CD's memory grows with the
-square of the number of degree classes.
+evenly over [0.02, 0.4], with the draws taken from seed 0, and reports
+that name nobody are dropped. Most children then have a degree of their
+own, so the dyad kernel sees close to N^2 / 2 class pairs, the case in
+which BE-CD's memory grows with the square of the number of degree
+classes. ``tests/test_backbone.py`` loads ``graded_classroom`` from here,
+so its memory bound is set on the same classroom as the figures.
 
 For each size, the script calls ``extract_backbone`` with every p-value
 (the default, as ``peeraudit becd`` does) and with ``pvalues=False`` (the
@@ -33,9 +35,12 @@ from peeraudit.backbone import extract_backbone
 from peeraudit.recall import RecallMatrix
 
 
-def graded_classroom(n_children: int, n_reports: int, seed: int = 0) -> RecallMatrix:
+SEED = 0
+
+
+def graded_classroom(n_children: int, n_reports: int) -> RecallMatrix:
     """Child i named in each report with probability 0.02 + 0.38 i / (n - 1)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     probs = np.linspace(0.02, 0.4, n_children)
     entries = rng.random((n_children, n_reports)) < probs[:, None]
     entries = entries[:, entries.any(axis=0)]
@@ -79,13 +84,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("sizes", nargs="+", type=size, metavar="NxM")
     parser.add_argument("--repeats", type=int, default=3, help="untraced calls per figure")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the classrooms")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     print("size        classes  call           cpu_s (min-max)   peak_mb  edges")
     for n, m in args.sizes:
-        rm = graded_classroom(n, m, args.seed)
+        rm = graded_classroom(n, m)
         classes = np.unique(rm.entries.sum(axis=1)).size
         label = f"{n}x{rm.entries.shape[1]}"
         for pvalues in (True, False):

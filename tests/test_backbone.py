@@ -1,7 +1,9 @@
 """SDSM backbone extraction: BiCM fit, Poisson-binomial tails, edges."""
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import sys
 import threading
 import tracemalloc
@@ -946,16 +948,16 @@ def test_network_only_backbone_matches_on_benchmark_shuffles(monkeypatch):
         _assert_network_only_matches(x, ALPHAS, monkeypatch)
 
 
-def _graded_classroom(n_children, n_reports, seed=0):
-    """The classroom of scripts/backbone_scale.py: child i is named in each
-    report with probability 0.02 + 0.38 i / (n - 1), so most children have
-    a degree of their own and the dyad kernel sees about n^2 / 2 class
-    pairs."""
-    rng = np.random.default_rng(seed)
-    probs = np.linspace(0.02, 0.4, n_children)
-    entries = rng.random((n_children, n_reports)) < probs[:, None]
-    entries = entries[:, entries.any(axis=0)]
-    return _rm(entries)
+def _graded_classroom(n_children, n_reports):
+    """The classroom of scripts/backbone_scale.py, loaded from the script
+    itself: child i is named in each report with probability
+    0.02 + 0.38 i / (n - 1), so most children have a degree of their own
+    and the dyad kernel sees about n^2 / 2 class pairs."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "backbone_scale.py"
+    spec = importlib.util.spec_from_file_location("backbone_scale", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.graded_classroom(n_children, n_reports)
 
 
 def test_network_only_backbone_matches_on_a_graded_classroom(monkeypatch):
